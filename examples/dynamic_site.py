@@ -56,9 +56,10 @@ def main() -> None:
     print(f"  10-click session: computed {computed} of "
           f"{total_objects} site objects "
           f"({server.log.mean_latency * 1000:.2f} ms/click mean)")
-    print(f"  cache: {server.site.stats['page_cache_hits']} page hits, "
-          f"{server.site.stats['bindings_cache_hits']} bindings hits, "
-          f"{server.site.stats['unit_evaluations']} unit evaluations")
+    stats = server.cache_snapshot()
+    print(f"  cache: {stats['page_cache_hits']} page hits, "
+          f"{stats['bindings_cache_hits']} bindings hits, "
+          f"{stats['unit_evaluations']} unit evaluations")
 
 
 if __name__ == "__main__":

@@ -121,10 +121,16 @@ class Graph:
 
     ``name`` identifies the graph inside a :class:`Database` ("input
     graph" / "output graph" in StruQL queries).
+
+    :attr:`version` counts content changes: every mutation that adds or
+    removes a node, edge or collection membership bumps it, so derived
+    structures (indexes, statistics) judge freshness by comparing the
+    version they were built at.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
+        self.version = 0
         self._nodes: dict[Oid, None] = {}
         self._out: dict[Oid, list[Edge]] = {}
         self._in: dict[GraphObject, list[Edge]] = {}
@@ -139,6 +145,7 @@ class Graph:
         if oid not in self._nodes:
             self._nodes[oid] = None
             self._out.setdefault(oid, [])
+            self.version += 1
         return oid
 
     def has_node(self, oid: Oid) -> bool:
@@ -197,6 +204,7 @@ class Graph:
             self._edges.add(edge)
             self._out[source].append(edge)
             self._in.setdefault(target, []).append(edge)
+            self.version += 1
         return edge
 
     def has_edge(self, source: Oid, label: str, target: GraphObject) -> bool:
@@ -271,11 +279,16 @@ class Graph:
         """Add ``obj`` to collection ``name``, creating it if absent."""
         if isinstance(obj, Oid):
             self.add_node(obj)
-        self._collections.setdefault(name, {})[obj] = None
+        members = self._collections.setdefault(name, {})
+        if obj not in members:
+            members[obj] = None
+            self.version += 1
 
     def declare_collection(self, name: str) -> None:
         """Ensure collection ``name`` exists (possibly empty)."""
-        self._collections.setdefault(name, {})
+        if name not in self._collections:
+            self._collections[name] = {}
+            self.version += 1
 
     def collection(self, name: str) -> list[GraphObject]:
         """Members of collection ``name`` in insertion order.
@@ -315,6 +328,7 @@ class Graph:
         """
         removed = list(self._out.get(source, ()))
         if removed:
+            self.version += 1
             self._out[source] = []
             self._edges.difference_update(removed)
             for target in {edge.target for edge in removed}:
@@ -329,6 +343,7 @@ class Graph:
                 replaced = dict(members)
                 del replaced[source]
                 self._collections[name] = replaced
+                self.version += 1
         return len(removed)
 
     # -- bulk operations ----------------------------------------------------------

@@ -43,8 +43,7 @@ class GraphIndex:
         self._forward: dict[tuple[Oid, str], list[GraphObject]] = {}
         self._backward: dict[str, dict[GraphObject, list[Oid]]] = {}
         self._value_index: dict[Atom, list[tuple[Oid, str]]] = {}
-        self._epoch = -1
-        self._built = False
+        self._version = -1
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -67,8 +66,7 @@ class GraphIndex:
             self._value_index.clear()
             for edge in self.graph.edges():
                 self._insert_edge(edge)
-            self._epoch = self._snapshot_key()
-            self._built = True
+            self._version = self.graph.version
             span.set(labels=len(self._labels),
                      values=len(self._value_index))
             emit_event("info", "index.build", graph=self.graph.name,
@@ -90,14 +88,10 @@ class GraphIndex:
         if isinstance(target, Atom):
             self._value_index.setdefault(target, []).append((source, label))
 
-    def _snapshot_key(self) -> int:
-        return (self.graph.edge_count << 24) ^ (self.graph.node_count << 8) \
-            ^ len(self.graph.collection_names())
-
     @property
     def fresh(self) -> bool:
-        """Whether the snapshot still matches the graph's size signature."""
-        return self._built and self._epoch == self._snapshot_key()
+        """Whether the snapshot was built at the graph's current version."""
+        return self._version == self.graph.version
 
     # -- schema index -----------------------------------------------------------
 

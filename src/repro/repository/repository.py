@@ -26,16 +26,16 @@ class Repository:
 
     Thin by design: a repository is a :class:`~repro.graph.Database` plus
     per-graph index and statistics caches.  Graph mutations go through
-    the graph object itself; the caches detect staleness by a size
-    signature and rebuild lazily on next access.
+    the graph object itself; the caches detect staleness by the graph's
+    version and rebuild lazily on next access.
     """
 
     def __init__(self, name: str = "strudel", indexing: bool = True) -> None:
         self.database = Database(name)
         self.indexing = indexing
         self._indexes: dict[str, GraphIndex] = {}
-        self._stats: dict[str, GraphStatistics] = {}
-        self._stats_epoch: dict[str, tuple[int, int]] = {}
+        #: graph name -> (graph version, statistics gathered at it)
+        self._stats: dict[str, tuple[int, GraphStatistics]] = {}
 
     # -- graph management -------------------------------------------------------
 
@@ -65,7 +65,6 @@ class Repository:
         self.database.remove_graph(name)
         self._indexes.pop(name, None)
         self._stats.pop(name, None)
-        self._stats_epoch.pop(name, None)
 
     def graph_names(self) -> list[str]:
         """Sorted names of stored graphs."""
@@ -97,17 +96,16 @@ class Repository:
     def statistics(self, name: str) -> GraphStatistics:
         """Statistics snapshot for graph ``name`` (rebuilt when stale)."""
         graph = self.graph(name)
-        epoch = (graph.node_count, graph.edge_count)
-        if self._stats.get(name) is None or self._stats_epoch.get(name) != epoch:
-            self._stats[name] = GraphStatistics.gather(graph)
-            self._stats_epoch[name] = epoch
-        return self._stats[name]
+        cached = self._stats.get(name)
+        if cached is None or cached[0] != graph.version:
+            cached = self._stats[name] = (graph.version,
+                                          GraphStatistics.gather(graph))
+        return cached[1]
 
     def invalidate(self, name: str) -> None:
         """Force index/statistics rebuild for graph ``name`` on next use."""
         self._indexes.pop(name, None)
         self._stats.pop(name, None)
-        self._stats_epoch.pop(name, None)
 
     def __repr__(self) -> str:
         return (f"Repository({self.database.name!r}, "

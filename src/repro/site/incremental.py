@@ -17,14 +17,16 @@ time for future queries").  :class:`LazySiteGraph` wraps a dynamic site
 behind the :class:`~repro.graph.Graph` interface so the HTML generator
 can render dynamic pages without a materialized site graph — the state
 the paper says must live "in a client-side browser and/or a server-side
-query processor" lives in the wrapper's materialized-page set.
+query processor" lives in the site's memo, whose page entries are the
+pages the wrapper has materialized.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from collections import OrderedDict
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -38,15 +40,16 @@ from repro.struql.analysis import ANY_FOOTPRINT, Footprint, unit_footprint
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label
 from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
+from repro.struql.matview import MatViewRegistry
 from repro.struql.parser import parse_query
 from repro.struql.plan import ExecutionContext, Plan
 from repro.struql.rewriter import ConjunctiveUnit, flatten
 from repro.struql.skolem import SkolemRegistry
 
 
-#: Default LRU bound for the click-time page and bindings caches: a
-#: long-running ``repro serve`` must not grow memory with the number of
-#: distinct pages ever visited (same discipline as
+#: Default LRU bound of the click-time memo: a long-running ``repro
+#: serve`` must not grow memory with the number of distinct pages ever
+#: visited (same discipline as
 #: :class:`~repro.obs.queries.QueryStatsRegistry`).
 DEFAULT_MAX_PAGES = 4096
 
@@ -64,14 +67,14 @@ class PageView:
 class DynamicSite:
     """Serves site pages computed at click time from the data graph.
 
-    Thread-safe: the page cache, the bindings cache and :attr:`stats`
-    are guarded by one reentrant :attr:`lock`, and
-    :meth:`invalidate` is atomic with respect to in-flight
-    :meth:`get_page` calls — the threaded HTTP plane
-    (:class:`~repro.obs.http.TelemetryHTTPServer`) serves click-time
-    pages from many handler threads at once.  Both caches are LRU
-    rings capped at ``max_pages`` entries (``site.page_cache_evictions``
-    / ``site.bindings_cache_evictions`` count what falls out).
+    Every cached result lives in one footprint-tagged memo,
+    :attr:`memo` (a :class:`~repro.struql.matview.MatViewRegistry` of
+    ``max_pages`` entries): unit bindings as ``rows`` entries, page
+    views as ``page`` entries, which are also exactly the pages the
+    bound :class:`LazySiteGraph` holds.  ``cache=False`` keeps bindings
+    and :meth:`get_page` results out of the memo.  Computes,
+    invalidation and ``stats`` serialize on one reentrant :attr:`lock`,
+    so threaded front ends may share a site.
     """
 
     def __init__(self, query: Query | str, data: Graph,
@@ -85,7 +88,7 @@ class DynamicSite:
         self.engine = engine or QueryEngine()
         self.units = flatten(query)
         #: Static read footprint of each flattened unit (keyed by the
-        #: unit's identity, which is also the bindings-cache key head).
+        #: unit's identity, which is also the rows-entry key head).
         self.unit_footprints: dict[int, Footprint] = {
             id(unit): unit_footprint(unit) for unit in self.units}
         #: Skolem function -> union of the footprints of every unit
@@ -96,34 +99,19 @@ class DynamicSite:
         #: The site query's fingerprint, also used as the lineage query
         #: context for click-time Skolem mints.
         self.fingerprint = fingerprint(query)
-        self._cache_enabled = cache
+        self.cache_enabled = cache
         self.max_pages = max(int(max_pages), 1)
-        self._page_cache: "OrderedDict[Oid, PageView]" = OrderedDict()
-        self._bindings_cache: "OrderedDict[tuple, list[Binding]]" = \
-            OrderedDict()
+        #: The one click-time memo (rows, page and body entries).
+        self.memo = MatViewRegistry(max_views=self.max_pages)
+        self._sources = frozenset({data.name})
+        self._graph: weakref.ref | None = None
         self._index = None
-        #: Guards the caches, the index and ``stats``; reentrant so
-        #: ``get_page`` -> ``_unit_rows`` nests, and exposed so
-        #: :class:`LazySiteGraph` can serialize materialization with
-        #: cache invalidation.
+        #: Reentrant, and shared with :class:`LazySiteGraph` reads so
+        #: none overlaps a detach.
         self.lock = threading.RLock()
-        #: Click-time statistics for benchmarking.  Hit/miss totals
-        #: reconcile by construction: ``page_cache_hits +
-        #: page_cache_misses`` equals ``get_page`` calls and
-        #: ``pages_computed == page_cache_misses``; the bindings-cache
-        #: counters tally the inner per-unit query cache separately
-        #: (they used to be folded into one ``cache_hits`` number,
-        #: which double-counted bindings hits inside page misses).
         self.stats = {"pages_computed": 0, "unit_evaluations": 0,
-                      "page_cache_hits": 0, "page_cache_misses": 0,
-                      "page_cache_evictions": 0,
-                      "bindings_cache_hits": 0,
-                      "bindings_cache_misses": 0,
-                      "bindings_cache_evictions": 0,
                       "full_invalidations": 0,
-                      "partial_invalidations": 0,
-                      "pages_invalidated": 0,
-                      "bindings_invalidated": 0}
+                      "partial_invalidations": 0}
 
     def _compute_fn_footprints(self) -> dict[str, Footprint]:
         out: dict[str, Footprint] = {
@@ -150,21 +138,6 @@ class DynamicSite:
             out = out.union(self.footprint_for(fn))
         return out
 
-    def affected_fns(self, change) -> set[str] | None:
-        """Skolem functions whose pages ``change`` may affect.
-
-        ``None`` means "all of them" — returned for a full change, an
-        unknown change, or a change naming this site's data source
-        (source-level granularity cannot be narrowed further here).
-        """
-        if change is None or getattr(change, "full", False):
-            return None
-        sources = getattr(change, "sources", frozenset())
-        if sources and self.data.name in sources:
-            return None
-        return {fn for fn, footprint in self.fn_footprints.items()
-                if footprint.intersects(change)}
-
     # -- roots -----------------------------------------------------------------
 
     def roots(self) -> list[Oid]:
@@ -184,122 +157,103 @@ class DynamicSite:
     # -- page computation ------------------------------------------------------------
 
     def get_page(self, oid: Oid) -> PageView:
-        """Compute (or fetch from cache) one page's view.
-
-        Holds :attr:`lock` across lookup *and* compute, so a concurrent
-        :meth:`invalidate` never interleaves with a half-done compute
-        (a page computed from pre-update data can otherwise be cached
-        after the post-update flush).
-        """
-        recorder = get_recorder()
+        """One page's view, from the memo (computed afresh with
+        ``cache=False``); lookup and compute hold :attr:`lock`."""
+        if oid.skolem_fn is None:
+            raise PageNotFoundError(oid)
         with self.lock:
-            if self._cache_enabled and oid in self._page_cache:
-                self.stats["page_cache_hits"] += 1
-                self._page_cache.move_to_end(oid)
-                recorder.metrics.counter("site.page_cache_hits").inc()
-                return self._page_cache[oid]
-            if oid.skolem_fn is None:
-                raise PageNotFoundError(oid)
-            started = time.perf_counter()
-            with recorder.span("site.compute_page",
-                               page=str(oid)) as span:
-                view = self._compute(oid)
-                span.set(edges=len(view.edges))
-            seconds = time.perf_counter() - started
-            if self._cache_enabled:
-                self._page_cache[oid] = view
-                while len(self._page_cache) > self.max_pages:
-                    self._page_cache.popitem(last=False)
-                    self.stats["page_cache_evictions"] += 1
-                    recorder.metrics.counter(
-                        "site.page_cache_evictions").inc()
-            self.stats["pages_computed"] += 1
-            self.stats["page_cache_misses"] += 1
+            if not self.cache_enabled:
+                return self._compute_page(oid)
+            return self.materialize(oid)
+
+    def materialize(self, oid: Oid) -> PageView:
+        """``oid``'s page entry in the memo, computed on a miss and
+        attached to the bound :class:`LazySiteGraph`."""
+        with self.lock:
+            return self.memo.get_or_compute(
+                oid, lambda: self._attach(self._compute_page(oid)),
+                kind="page", fingerprint=self.fingerprint,
+                footprint=self.footprint_for(oid.skolem_fn),
+                sources=self._sources)
+
+    def bind(self, graph: "LazySiteGraph") -> None:
+        """Make ``graph`` the lazy graph page entries attach to, held
+        weakly so the memo never keeps it (or this site) alive."""
+        with self.lock:
+            self._graph = weakref.ref(graph)
+            self.memo.watch_drops(graph.page_dropped)
+            for entry in self.memo.entries("page"):
+                graph.attach(entry.value)
+
+    def _attach(self, view: PageView) -> PageView:
+        graph = self._graph() if self._graph is not None else None
+        if graph is not None:
+            graph.attach(view)
+        return view
+
+    def _compute_page(self, oid: Oid) -> PageView:
+        recorder = get_recorder()
+        started = time.perf_counter()
+        with recorder.span("site.compute_page", page=str(oid)) as span:
+            view = self._compute(oid)
+            span.set(edges=len(view.edges))
+        self.stats["pages_computed"] += 1
         # Click-time computes are partial evaluations of the one site
         # query, so they aggregate under its fingerprint: the registry's
         # p50/p95 become the site's live page-compute latency.
         get_query_registry().observe(
-            self.query, seconds=seconds,
+            self.query, seconds=time.perf_counter() - started,
             rows=len(view.edges),
             optimizer=getattr(self.engine.optimizer, "name",
                               str(self.engine.optimizer)))
-        recorder.metrics.counter("site.page_cache_misses").inc()
         return view
 
-    def invalidate(self, change=None) -> set[str] | None:
-        """Drop cached results affected by a data-graph update.
-
-        With no ``change`` (or a full/unknown one) this flushes
-        everything, exactly as before.  Given a
-        :class:`~repro.struql.matview.ChangeSummary`, only pages whose
-        function footprint intersects the change and bindings whose
-        unit footprint intersects it are dropped; the graph index is
-        always discarded (the data did change).  Returns the affected
-        Skolem functions, or ``None`` for a full flush.
-
-        Atomic with in-flight :meth:`get_page` calls: waits for any
-        compute holding :attr:`lock`, then flushes at once.
-        """
+    def invalidate(self, change=None) -> int:
+        """Drop the memo entries a data-graph update may affect (all
+        without a :class:`~repro.struql.matview.ChangeSummary`), after
+        any in-flight compute; returns how many dropped."""
+        full = change is None or getattr(change, "full", False)
         with self.lock:
-            self._index = None
-            affected = self.affected_fns(change)
-            if affected is None:
-                self._page_cache.clear()
-                self._bindings_cache.clear()
-                self.stats["full_invalidations"] += 1
-                return None
-            pages = [oid for oid in self._page_cache
-                     if oid.skolem_fn in affected]
-            for oid in pages:
-                del self._page_cache[oid]
-            bindings = [key for key in self._bindings_cache
-                        if self.unit_footprints.get(
-                            key[0], ANY_FOOTPRINT).intersects(change)]
-            for key in bindings:
-                del self._bindings_cache[key]
-            self.stats["partial_invalidations"] += 1
-            self.stats["pages_invalidated"] += len(pages)
-            self.stats["bindings_invalidated"] += len(bindings)
-            return affected
+            self.stats["full_invalidations" if full
+                       else "partial_invalidations"] += 1
+            return self.memo.invalidate(change)
 
     def stats_snapshot(self) -> dict:
-        """A consistent copy of :attr:`stats` plus cache occupancy."""
+        """A consistent copy of :attr:`stats` plus the memo's page and
+        bindings counters and occupancy."""
         with self.lock:
-            snapshot = dict(self.stats)
-            snapshot["page_cache_size"] = len(self._page_cache)
-            snapshot["bindings_cache_size"] = len(self._bindings_cache)
-            snapshot["max_pages"] = self.max_pages
-            snapshot["cache_enabled"] = self._cache_enabled
+            snapshot = dict(self.stats, max_pages=self.max_pages,
+                            cache_enabled=self.cache_enabled)
+            for kind, cache, dropped in (
+                    ("page", "page_cache_", "pages_invalidated"),
+                    ("rows", "bindings_cache_", "bindings_invalidated")):
+                counts = self.memo.counters(kind)
+                for name in ("hits", "misses", "evictions"):
+                    snapshot[cache + name] = counts[name]
+                snapshot[cache + "size"] = counts["views"]
+                snapshot[dropped] = counts["views_dropped"]
         return snapshot
 
     # -- internals ---------------------------------------------------------------
 
     def _compute(self, oid: Oid) -> PageView:
-        fn = oid.skolem_fn
-        assert fn is not None
+        fn, arity = oid.skolem_fn, len(oid.skolem_args)
         view = PageView(oid)
         seen_edges: set[tuple[str, GraphObject]] = set()
+        lineage = get_lineage()
         for unit in self.units:
-            initial = None
-            relevant = False
-            for link in unit.links:
-                if link.source.fn == fn and \
-                        len(link.source.args) == len(oid.skolem_args):
-                    relevant = True
+            links = [link for link in unit.links
+                     if link.source.fn == fn
+                     and len(link.source.args) == arity]
             collecting = [c for c in unit.collects
                           if isinstance(c.term, SkolemTerm)
-                          and c.term.fn == fn
-                          and len(c.term.args) == len(oid.skolem_args)]
-            if not relevant and not collecting:
+                          and c.term.fn == fn and len(c.term.args) == arity]
+            if not links and not collecting:
                 continue
-            lineage = get_lineage()
             with lineage.query_context(fingerprint=self.fingerprint,
                                        block=unit.label,
                                        input=self.data.name):
-                for link in unit.links:
-                    if link.source.fn != fn or \
-                            len(link.source.args) != len(oid.skolem_args):
-                        continue
+                for link in links:
                     for row in self._unit_rows(unit, link.source, oid):
                         label_value = self._resolve(link.label, row)
                         label = as_label(label_value) \
@@ -316,10 +270,9 @@ class DynamicSite:
                             if lineage.enabled:
                                 lineage.record_dep(oid, target)
                 for collect in collecting:
-                    assert isinstance(collect.term, SkolemTerm)
-                    for row in self._unit_rows(unit, collect.term, oid):
-                        if collect.name not in view.collections:
-                            view.collections.append(collect.name)
+                    if collect.name not in view.collections and \
+                            self._unit_rows(unit, collect.term, oid):
+                        view.collections.append(collect.name)
         return view
 
     def _unit_rows(self, unit: ConjunctiveUnit, source: SkolemTerm,
@@ -334,17 +287,19 @@ class DynamicSite:
                 from repro.struql.bindings import runtime_eq
                 if not runtime_eq(arg_term.value, arg_value):
                     return []
+        if not self.cache_enabled:
+            return self._evaluate_unit(unit, seed)
         key = (id(unit), tuple(sorted(seed.items(),
                                       key=lambda kv: kv[0])),
                tuple(str(v) for _, v in sorted(seed.items())))
-        with self.lock:
-            if self._cache_enabled and key in self._bindings_cache:
-                self.stats["bindings_cache_hits"] += 1
-                self._bindings_cache.move_to_end(key)
-                get_recorder().metrics.counter(
-                    "site.bindings_cache_hits").inc()
-                return self._bindings_cache[key]
-            self.stats["bindings_cache_misses"] += 1
+        return self.memo.get_or_compute(
+            key, lambda: self._evaluate_unit(unit, seed), kind="rows",
+            fingerprint=self.fingerprint,
+            footprint=self.unit_footprints[id(unit)],
+            sources=self._sources)
+
+    def _evaluate_unit(self, unit: ConjunctiveUnit,
+                       seed: Binding) -> list[Binding]:
         if self._index is None or not self._index.fresh:
             from repro.repository.indexes import GraphIndex
             self._index = GraphIndex.build(self.data)
@@ -372,15 +327,7 @@ class DynamicSite:
             rows = [row for row in rows
                     if all(name in row and runtime_eq(row[name], value)
                            for name, value in post_filter.items())]
-        with self.lock:
-            self.stats["unit_evaluations"] += 1
-            if self._cache_enabled:
-                self._bindings_cache[key] = rows
-                while len(self._bindings_cache) > self.max_pages:
-                    self._bindings_cache.popitem(last=False)
-                    self.stats["bindings_cache_evictions"] += 1
-                    get_recorder().metrics.counter(
-                        "site.bindings_cache_evictions").inc()
+        self.stats["unit_evaluations"] += 1
         get_recorder().metrics.counter("site.unit_evaluations").inc()
         return rows
 
@@ -400,35 +347,44 @@ class DynamicSite:
         raise TypeError(f"not a term: {term!r}")
 
 
+def _ensuring(read):
+    """Wrap a :class:`Graph` read to materialize its subject first,
+    under the site lock so no detach interleaves."""
+    @functools.wraps(read)
+    def wrapper(self, subject, *args, **kwargs):
+        with self._site.lock:
+            if isinstance(subject, Oid):
+                self.ensure(subject)
+            return read(self, subject, *args, **kwargs)
+    return wrapper
+
+
 class LazySiteGraph(Graph):
     """A :class:`Graph` facade over a :class:`DynamicSite`.
 
-    Pages materialize into the underlying graph structures on first
-    access, so the HTML generator (which only reads outgoing edges and
-    collection memberships) renders against it unmodified.  Incoming
-    edges are complete only for already-materialized pages — sufficient
-    for serving, by construction of the template language's bounded
+    Pages materialize on first read, so the HTML generator (which only
+    reads outgoing edges and collection memberships) renders against it
+    unmodified.  A page is materialized exactly while the site's memo
+    holds its ``page`` entry.  Incoming edges are complete only for
+    materialized pages — sufficient for the template language's bounded
     forward traversals.
     """
 
     def __init__(self, site: DynamicSite) -> None:
         super().__init__(site.query.output_name)
         self._site = site
-        self._materialized: set[Oid] = set()
         self._local = threading.local()
+        #: Pages detached since the last :meth:`rematerialize_detached`.
+        self.detached: set[Oid] = set()
         for root in site.roots():
             self.add_node(root)
+        site.bind(self)
 
     @contextmanager
     def collecting_deps(self):
-        """Record the Skolem functions touched by reads in this thread.
-
-        Yields a set that :meth:`ensure` adds every touched page's
-        function to — including pages that were already materialized.
-        A renderer wrapped in this context learns exactly which page
-        views its output depends on, which becomes the rendered body's
-        invalidation footprint.
-        """
+        """Yield the set of Skolem functions of every page read in
+        this thread meanwhile (materialized before or not): a render's
+        dependencies, hence its body's invalidation footprint."""
         previous = getattr(self._local, "deps", None)
         deps: set[str] = set()
         self._local.deps = deps
@@ -438,80 +394,52 @@ class LazySiteGraph(Graph):
             self._local.deps = previous
 
     def ensure(self, oid: Oid) -> None:
-        """Materialize ``oid``'s page if it is dynamic and not yet done.
-
-        Serialized on the site's lock: concurrent handler threads must
-        not interleave graph mutation (or materialize the same page
-        twice), and materialization must not overlap an
-        :meth:`DynamicSite.invalidate` flush.
-        """
+        """Materialize ``oid``'s page if it is dynamic and not yet done
+        (serialized on the site's lock)."""
         if oid.skolem_fn is None:
             return
         deps = getattr(self._local, "deps", None)
         if deps is not None:
             deps.add(oid.skolem_fn)
+        self._site.materialize(oid)
+
+    def attach(self, view: PageView) -> None:
+        """Add a computed page view's edges and memberships."""
+        self.add_node(view.oid)
+        for label, target in view.edges:
+            self.add_edge(view.oid, label, target)
+        for name in view.collections:
+            self.add_to_collection(name, view.oid)
+
+    def page_dropped(self, kind: str, key) -> None:
+        """Memo listener: detach a page whose entry left the memo
+        (unless recomputed since).  The node stays, so links to it and
+        its route remain valid."""
+        if kind != "page":
+            return
         with self._site.lock:
-            if oid in self._materialized:
-                return
-            self._materialized.add(oid)
-            view = self._site.get_page(oid)
-            self.add_node(oid)
-            for label, target in view.edges:
-                self.add_edge(oid, label, target)
-            for name in view.collections:
-                self.add_to_collection(name, oid)
+            if ("page", key) not in self._site.memo:
+                self.detach_node(key)
+                self.detached.add(key)
 
-    def unmaterialize(self, fns: set[str] | None = None) -> int:
-        """Forget materialized pages so they recompute on next access.
-
-        ``fns`` restricts the flush to pages minted by those Skolem
-        functions (``None`` flushes every materialized page).  Nodes
-        stay in the graph — links from other pages and the URL map
-        remain valid — but their outgoing edges and collection
-        memberships are detached, so the next read recomputes the page
-        view against the updated data.
-        """
+    def rematerialize_detached(self) -> int:
+        """Recompute every page detached since the last call; returns
+        how many.  New link targets they reveal become nodes again."""
         with self._site.lock:
-            victims = [oid for oid in self._materialized
-                       if fns is None or oid.skolem_fn in fns]
-            for oid in victims:
-                self._materialized.discard(oid)
-                self.detach_node(oid)
-            return len(victims)
+            pages, self.detached = self.detached, set()
+            for oid in pages:
+                self.ensure(oid)
+            return len(pages)
 
-    # -- read paths used by the HTML generator ------------------------------------
-    #
-    # Each read holds the site lock across ensure + read so a concurrent
-    # unmaterialize/invalidate never interleaves mid-read; the serving
-    # hot path (materialized-view hits) bypasses this graph entirely.
+    # Reads used by the HTML generator; body hits bypass this graph.
 
-    def out_edges(self, source: Oid):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().out_edges(source)
-
-    def get(self, source: Oid, label: str):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().get(source, label)
-
-    def get_one(self, source: Oid, label: str, default=None):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().get_one(source, label, default)
-
-    def labels_of(self, source: Oid):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().labels_of(source)
-
-    def collections_of(self, obj):  # type: ignore[override]
-        with self._site.lock:
-            if isinstance(obj, Oid):
-                self.ensure(obj)
-            return super().collections_of(obj)
+    out_edges = _ensuring(Graph.out_edges)
+    get = _ensuring(Graph.get)
+    get_one = _ensuring(Graph.get_one)
+    labels_of = _ensuring(Graph.labels_of)
+    collections_of = _ensuring(Graph.collections_of)
 
     @property
     def materialized_count(self) -> int:
-        """How many pages have been computed so far."""
-        return len(self._materialized)
+        """How many pages are materialized right now."""
+        return len(self._site.memo.entries("page"))

@@ -29,7 +29,7 @@ from repro.obs.trace import TimedResult, emit_event, get_recorder, timed
 from repro.site.incremental import DynamicSite, LazySiteGraph
 from repro.struql.ast import Query
 from repro.struql.evaluator import QueryEngine
-from repro.struql.matview import ChangeSummary, MatViewRegistry
+from repro.struql.matview import ChangeSummary
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
 #: Histogram bucket bounds (seconds) for request latencies — the shared
@@ -215,40 +215,31 @@ class ServerLog:
         return self.histogram.percentile(0.95)
 
 
-#: Default bound on concurrent page computations per server (the
-#: admission guard of the body materialized-view registry).
-SERVER_MAX_INFLIGHT = 8
-
-
 class DynamicSiteServer:
     """Serves one site's pages, computing each at click time.
 
-    Rendered page bodies are materialized views
-    (:class:`~repro.struql.matview.MatViewRegistry`): a hit serves
-    bytes without touching the site graph or holding any site lock,
-    and a miss computes once per page however many threads ask
-    (single-flight), with at most :data:`SERVER_MAX_INFLIGHT`
-    computations running at a time.  Each body's view records the
-    Skolem functions its render actually read, so
-    :meth:`invalidate` with a
+    Rendered page bodies are ``body`` entries of the site's one memo
+    (:attr:`matviews`, shared with page views and unit bindings): a hit
+    serves bytes without touching the site graph or holding any site
+    lock, and a miss computes once per page however many threads ask
+    (single-flight).  Each body records the Skolem functions its render
+    actually read, so :meth:`invalidate` with a
     :class:`~repro.struql.matview.ChangeSummary` drops only the
-    bodies whose footprint the change intersects.
+    entries whose footprint the change intersects.
     """
 
     def __init__(self, query: Query | str, data: Graph,
                  templates: TemplateSet,
                  engine: QueryEngine | None = None,
-                 cache: bool = True, loader=None,
-                 max_inflight: int = SERVER_MAX_INFLIGHT) -> None:
+                 cache: bool = True, loader=None) -> None:
         self.site = DynamicSite(query, data, engine=engine, cache=cache)
         self.graph = LazySiteGraph(self.site)
         self.generator = HtmlGenerator(self.graph, templates, loader=loader)
         self.log = ServerLog()
-        self.matviews = MatViewRegistry(max_views=self.site.max_pages,
-                                        max_inflight=max_inflight)
-        self._body_cache_enabled = cache
-        self._url_map: dict[str, Oid] | None = None
-        self._url_map_size = -1
+        self.matviews = self.site.memo
+        self._url_map: dict[str, Oid] = {}
+        self._url_map_size = 0
+        self._rerouted_at = 0
 
     # -- routing -------------------------------------------------------------
 
@@ -259,59 +250,44 @@ class DynamicSiteServer:
     def resolve_path(self, path: str) -> Oid | None:
         """Map a URL path back to a page oid (inverse of ``url_for``).
 
-        Backed by a url->oid map rebuilt only when the lazy graph has
-        materialized new nodes, so steady-state resolution is O(1)
-        instead of a linear scan over every page per request.
+        The url->oid map absorbs the lazy graph's new nodes and never
+        forgets one (detached pages keep their nodes).  A page an
+        update added is linked only from pages it dropped, so the first
+        miss after an invalidation re-materializes the detached pages
+        once and looks again.
         """
         wanted = path.lstrip("/")
-        # Rebuild under the site lock: concurrent handler threads must
-        # not iterate the lazy graph while another one materializes.
-        # The map is merged, never rebuilt from scratch: a page's URL
-        # is a pure function of its oid and the data graph is additive,
-        # so routes learned before an invalidation stay valid after it
-        # (the fresh lazy graph re-materializes the page on demand).
-        # Rebuilding from only-materialized nodes would 404 every deep
-        # URL after a full flush until something re-requested it by oid.
         with self.site.lock:
-            if self._url_map is None or \
-                    self._url_map_size != self.graph.node_count:
-                url_map: dict[str, Oid] = dict(self._url_map or {})
-                for node in list(self.graph.nodes()):
-                    url_map.setdefault(self.generator.url_for(node),
-                                       node)
-                self._url_map = url_map
-                self._url_map_size = self.graph.node_count
-            return self._url_map.get(wanted)
+            oid = self._route(wanted)
+            if oid is None and \
+                    self._rerouted_at != self.matviews.generation:
+                self._rerouted_at = self.matviews.generation
+                if self.graph.rematerialize_detached():
+                    oid = self._route(wanted)
+            return oid
 
-    def _remember_route(self, oid: Oid) -> None:
-        """Register a served page's URL in the route map.
-
-        Serving by oid (priming, crawling, link traversal) teaches the
-        router the page's URL immediately, so a URL request never
-        depends on a prior ``resolve_path`` scan having seen the page
-        materialized — in particular, routes learned here survive a
-        full invalidation that swaps in an empty lazy graph.
-        """
-        with self.site.lock:
-            if self._url_map is None:
-                self._url_map = {}
-            self._url_map.setdefault(self.generator.url_for(oid), oid)
+    def _route(self, wanted: str) -> Oid | None:
+        # Nodes are never removed, so only those past the watermark
+        # are new.
+        count = self.graph.node_count
+        if self._url_map_size != count:
+            for node in itertools.islice(self.graph.nodes(),
+                                         self._url_map_size, None):
+                self._url_map.setdefault(self.generator.url_for(node),
+                                         node)
+            self._url_map_size = count
+        return self._url_map.get(wanted)
 
     def warm(self) -> int:
-        """Compute the site query and materialize every root page.
-
-        The readiness gate of the HTTP front end: once this returns,
-        the data graph is loaded and the site query has produced its
-        entry points, so click-time requests can be answered.  Returns
-        the number of roots warmed.
-        """
+        """Materialize every root page, so their links route; the HTTP
+        front end's readiness gate.  Returns the number of roots."""
         roots = self.roots()
         for oid in roots:
             self.graph.ensure(oid)
         return len(roots)
 
     def _serve_body(self, oid: Oid) -> str:
-        """One page's HTML, served from the body view cache.
+        """One page's HTML, served from its ``body`` memo entry.
 
         A miss renders through :meth:`LazySiteGraph.collecting_deps`,
         so the stored view's footprint is the union of the footprints
@@ -333,11 +309,10 @@ class DynamicSiteServer:
             deps.update(touched)
             return rendered
 
-        if not self._body_cache_enabled:
+        if not site.cache_enabled:
             return compute()
         return self.matviews.get_or_compute(
-            str(oid), compute,
-            fingerprint=site.fingerprint,
+            oid, compute, fingerprint=site.fingerprint,
             footprint=lambda: site.footprint_for_fns(deps),
             sources=(site.data.name,))
 
@@ -367,7 +342,6 @@ class DynamicSiteServer:
                     raise PageNotFoundError(page)
                 body = self._serve_body(oid)
                 status = 200
-                self._remember_route(oid)
                 lineage = get_lineage()
                 if lineage.enabled:
                     # Served pages join the lineage index as they are
@@ -434,54 +408,24 @@ class DynamicSiteServer:
         return out
 
     def cache_snapshot(self) -> dict:
-        """The click-time cache statistics, reconciled.
-
-        One consistent read of :meth:`DynamicSite.stats_snapshot` —
-        page-cache and bindings-cache hit/miss/eviction counters stay
-        distinct so the totals add up (``page_cache_hits +
-        page_cache_misses`` equals page lookups; ``pages_computed ==
-        page_cache_misses``).
-        """
+        """The click-time page and bindings counters
+        (:meth:`DynamicSite.stats_snapshot`)."""
         return self.site.stats_snapshot()
 
     def invalidate(self, change: ChangeSummary | None = None) -> None:
-        """Propagate a data-graph update: drop caches and lazily rebuild.
-
-        Without a :class:`~repro.struql.matview.ChangeSummary` this
-        flushes everything — the pre-matview behavior and the sound
-        fallback when the caller cannot describe what changed.  With
-        one, only the page views, bindings and rendered bodies whose
-        footprint intersects the change are dropped: the rest keep
-        serving from cache.
-        """
-        with self.site.lock:
-            affected = self.site.invalidate(change)
-            if affected is None:
-                fresh = LazySiteGraph(self.site)
-                self.graph = fresh
-                self.generator = HtmlGenerator(
-                    fresh, self.generator.templates,
-                    loader=self.generator.loader)
-                # Known routes survive the flush (see resolve_path);
-                # only the size watermark resets so the next resolve
-                # merges whatever the fresh graph has materialized.
-                self._url_map_size = -1
-                self.matviews.invalidate()
-            else:
-                self.graph.unmaterialize(affected)
-                self.matviews.invalidate(change)
+        """Propagate a data-graph update through the one memo
+        (:meth:`DynamicSite.invalidate`): without a
+        :class:`~repro.struql.matview.ChangeSummary` everything drops;
+        with one, only the bindings, page views and bodies whose
+        footprint intersects it."""
+        self.site.invalidate(change)
 
     def update(self, mutate, change: ChangeSummary | None = None):
-        """Apply a data mutation and propagate invalidation atomically.
-
-        ``mutate(data_graph)`` runs under the site lock, so concurrent
-        page computes never observe a half-applied change; ``change``
-        then drives :meth:`invalidate` before the lock is released.
-        When ``change`` is omitted and ``mutate`` returns a
-        :class:`~repro.struql.matview.ChangeSummary`, that summary
-        drives the invalidation; any other return value falls back to
-        the full flush.  Returns whatever ``mutate`` returned.
-        """
+        """Apply ``mutate(data_graph)`` and :meth:`invalidate` under the
+        site lock, so no compute sees a half-applied change.  Without
+        ``change``, a :class:`~repro.struql.matview.ChangeSummary`
+        returned by ``mutate`` drives the invalidation (anything else:
+        a full one).  Returns whatever ``mutate`` returned."""
         with self.site.lock:
             result = mutate(self.site.data)
             if change is None and isinstance(result, ChangeSummary):

@@ -1,51 +1,63 @@
 """Materialized StruQL views with footprint-based invalidation.
 
-The paper's central move — a site is a *declared query* over the data
-graph — makes every derived result re-computable, and therefore
-cacheable, by construction.  This module is the serving-path cache that
-exploits it: a :class:`MatViewRegistry` stores computed values (query
-result graphs, rendered page bodies) keyed by a stable identifier, and
-each entry carries a *dependency summary*: the source ids it was
-computed from plus the collection/label read footprint
-(:class:`repro.struql.analysis.Footprint`) of the query that produced
-it.  When a source changes, callers describe the change as a
-:class:`ChangeSummary` and the registry drops only the views whose
-footprint intersects it — views with no footprint recorded fall back to
-an unconditional drop, which is the sound default.
+A site is a *declared query* over the data graph, so every derived
+result is re-computable and therefore cacheable.  A
+:class:`MatViewRegistry` stores computed values keyed by ``(kind,
+key)``; each entry carries its source ids and the collection/label read
+footprint (:class:`repro.struql.analysis.Footprint`) of the query that
+produced it.  Callers describe a data change as a
+:class:`ChangeSummary`, and :meth:`MatViewRegistry.invalidate` drops
+only the entries whose footprint intersects it (entries without a
+footprint always drop — the sound default).
 
-Two serving-path guards ride along:
+A dynamic site keeps its whole click-time memo [FER 98c] in one
+registry: ``rows`` (a unit's bindings for one page's Skolem arguments),
+``page`` (a page's computed view) and ``body`` (a rendered page; the
+default kind, also used for query results by :func:`materialize_query`).
 
-* **per-view single-flight** — N concurrent misses on the same key run
-  one computation; the other N-1 wait on it and then read the stored
-  view (``matview.singleflight_waits`` counts the waits);
-* **admission control** — a bounded semaphore caps concurrent
-  computations across all keys, so a cold cache under heavy traffic
-  degrades to a queue instead of a thundering herd
-  (``matview.admission_waits`` counts the stalls).
-
-Every invalidation bumps a registry generation; a computation that
-straddles an invalidation returns its value to the caller but does
-*not* enter the cache (it may have read pre-change data), so a request
-issued after ``invalidate()`` returns can never be served a stale view.
+Concurrent misses on one key compute once (single-flight).  Every
+invalidation bumps a generation; a computation that straddles one
+returns its value to its caller but is not stored, so no request issued
+after ``invalidate()`` returns is served a pre-change view.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from collections import OrderedDict
+import weakref
+from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from repro.obs.trace import get_recorder
 from repro.struql.analysis import Footprint, query_footprint
 from repro.obs.queries import fingerprint as query_fingerprint
 
-#: Default bound on concurrently running computations per registry.
-DEFAULT_MAX_INFLIGHT = 8
-
 #: Default LRU bound on stored views per registry.
 DEFAULT_MAX_VIEWS = 4096
+
+#: The kind of entry stored when the caller names none.
+DEFAULT_KIND = "body"
+
+#: Per-kind counters; :attr:`MatViewRegistry.stats` holds the default
+#: kind's.
+_COUNTERS = ("hits", "misses", "invalidations", "views_dropped",
+             "singleflight_waits", "evictions", "stale_discards")
+
+#: Metric-name prefix per kind (the click-time kinds keep the names
+#: their caches had); any other kind counts under ``matview.``.
+_METRIC_PREFIX = {"page": "site.page_cache_", "rows": "site.bindings_cache_"}
+
+
+@functools.lru_cache(maxsize=None)
+def _metric_name(kind: str, counter: str) -> str:
+    return _METRIC_PREFIX.get(kind, "matview.") + counter
+
+
+def _count_metric(kind: str, counter: str, amount: int = 1) -> None:
+    get_recorder().metrics.counter(_metric_name(kind, counter)).inc(amount)
 
 
 @dataclass(frozen=True)
@@ -87,37 +99,19 @@ class ChangeSummary:
             sources=self.sources | other.sources,
             full=self.full or other.full)
 
-    def as_dict(self) -> dict:
-        return {
-            "labels": sorted(self.labels),
-            "collections": sorted(self.collections),
-            "sources": sorted(self.sources),
-            "full": self.full,
-        }
 
-    def __str__(self) -> str:
-        if self.full:
-            return "(full)"
-        parts = []
-        if self.labels:
-            parts.append("labels:" + ",".join(sorted(self.labels)))
-        if self.collections:
-            parts.append(
-                "collections:" + ",".join(sorted(self.collections)))
-        if self.sources:
-            parts.append("sources:" + ",".join(sorted(self.sources)))
-        return " ".join(parts) or "(empty)"
-
-
-@dataclass
+@dataclass(slots=True)
 class MaterializedView:
-    """One stored view: the value plus its dependency summary."""
+    """One stored view: the value, its dependency summary and the
+    registry generation it was computed at."""
 
-    key: str
+    kind: str
+    key: Hashable
     value: object
-    fingerprint: str = ""
+    generation: int = 0
     footprint: Optional[Footprint] = None
     sources: frozenset[str] = frozenset()
+    fingerprint: str = ""
     compute_seconds: float = 0.0
     created_at: float = field(default_factory=time.time)
     hits: int = 0
@@ -136,70 +130,80 @@ class MaterializedView:
 
     def summary(self) -> dict:
         return {
-            "key": self.key,
+            "kind": self.kind,
+            "key": str(self.key),
             "fingerprint": self.fingerprint,
             "footprint": (self.footprint.as_dict()
                           if self.footprint is not None else None),
             "sources": sorted(self.sources),
+            "generation": self.generation,
             "hits": self.hits,
             "compute_seconds": round(self.compute_seconds, 6),
             "age_seconds": round(time.time() - self.created_at, 3),
         }
 
 
-class _Flight:
-    """In-flight computation marker for single-flight coordination."""
-
-    __slots__ = ("event", "generation")
+class _Flight(threading.Event):
+    """An in-flight computation, and the generation it started at."""
 
     def __init__(self, generation: int) -> None:
-        self.event = threading.Event()
+        super().__init__()
         self.generation = generation
 
 
 class MatViewRegistry:
-    """Bounded, thread-safe store of materialized views.
+    """Bounded, thread-safe store of views keyed by ``(kind, key)``.
 
-    ``max_views`` is the LRU capacity; ``max_inflight`` bounds the
-    number of computations running at once (the admission guard).
-    All mutating operations are safe to call from any thread.
+    ``max_views`` is the one LRU capacity shared by every kind.
+    :attr:`stats` holds the default kind's counters, :meth:`counters`
+    any kind's.  All operations are safe to call from any thread.
     """
 
-    def __init__(self, max_views: int = DEFAULT_MAX_VIEWS,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT) -> None:
+    def __init__(self, max_views: int = DEFAULT_MAX_VIEWS) -> None:
         self.max_views = max_views
-        self.max_inflight = max_inflight
         self._lock = threading.Lock()
-        self._views: "OrderedDict[str, MaterializedView]" = OrderedDict()
-        self._inflight: dict[str, _Flight] = {}
-        self._gate = threading.BoundedSemaphore(max_inflight)
+        self._views: "OrderedDict[tuple[str, Hashable], MaterializedView]" \
+            = OrderedDict()
+        self._inflight: dict[tuple[str, Hashable], _Flight] = {}
         self._generation = 0
-        self.stats = {
-            "hits": 0,
-            "misses": 0,
-            "invalidations": 0,
-            "views_dropped": 0,
-            "singleflight_waits": 0,
-            "admission_waits": 0,
-            "evictions": 0,
-            "stale_discards": 0,
-        }
+        self._kinds: dict[str, dict[str, int]] = defaultdict(
+            lambda: dict.fromkeys(_COUNTERS, 0))
+        self._on_drop: Optional[weakref.WeakMethod] = None
+        self.stats = self._kinds[DEFAULT_KIND]
+
+    def watch_drops(self, listener: Callable[[str, Hashable], None]) -> None:
+        """Call ``listener(kind, key)`` (a bound method, held weakly;
+        run outside the lock) for every entry that leaves the registry:
+        dropped, evicted, or computed but never stored."""
+        self._on_drop = weakref.WeakMethod(listener)
+
+    def _notify(self, views: Iterable[MaterializedView]) -> None:
+        listener = self._on_drop() if self._on_drop is not None else None
+        if listener is not None:
+            for view in views:
+                listener(view.kind, view.key)
 
     # -- serving ----------------------------------------------------------
 
-    def get(self, key: str):
+    def _hit(self, slot: tuple[str, Hashable],
+             view: MaterializedView) -> None:
+        view.hits += 1
+        self._views.move_to_end(slot)
+        self._kinds[slot[0]]["hits"] += 1
+
+    def get(self, key: Hashable, kind: str = DEFAULT_KIND):
         """The stored view for ``key``, or ``None`` (counts a hit)."""
+        slot = (kind, key)
         with self._lock:
-            view = self._views.get(key)
+            view = self._views.get(slot)
             if view is None:
                 return None
-            view.hits += 1
-            self._views.move_to_end(key)
-            self.stats["hits"] += 1
-        get_recorder().metrics.counter("matview.hits").inc()
+            self._hit(slot, view)
+        _count_metric(kind, "hits")
         return view
 
-    def get_or_compute(self, key: str, compute: Callable[[], object], *,
+    def get_or_compute(self, key: Hashable, compute: Callable[[], object],
+                       *, kind: str = DEFAULT_KIND,
                        fingerprint: str = "",
                        footprint=None,
                        sources: Iterable[str] = ()) -> object:
@@ -211,117 +215,82 @@ class MatViewRegistry:
         that discover dependencies during the computation).
         Concurrent misses on the same key run ``compute`` once.
         """
+        slot = (kind, key)
         while True:
-            leader = False
             with self._lock:
-                view = self._views.get(key)
+                view = self._views.get(slot)
+                flight = self._inflight.get(slot)
                 if view is not None:
-                    view.hits += 1
-                    self._views.move_to_end(key)
-                    self.stats["hits"] += 1
-                    value = view.value
+                    self._hit(slot, view)
+                elif flight is None:
+                    flight = self._inflight[slot] = \
+                        _Flight(self._generation)
+                    self._kinds[kind]["misses"] += 1
                     break
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight(self._generation)
-                    self._inflight[key] = flight
-                    leader = True
-            if leader:
-                return self._run_flight(
-                    key, flight, compute, fingerprint=fingerprint,
-                    footprint=footprint, sources=sources)
+                else:
+                    self._kinds[kind]["singleflight_waits"] += 1
+            if view is not None:
+                _count_metric(kind, "hits")
+                return view.value
             # Single-flight: wait for the leader, then re-check the
             # store (or take over if the leader failed / went stale).
-            with self._lock:
-                self.stats["singleflight_waits"] += 1
-            get_recorder().metrics.counter(
-                "matview.singleflight_waits").inc()
-            flight.event.wait()
-        get_recorder().metrics.counter("matview.hits").inc()
-        return value
-
-    def _run_flight(self, key: str, flight: _Flight,
-                    compute: Callable[[], object], *,
-                    fingerprint: str, footprint,
-                    sources: Iterable[str]) -> object:
-        with self._lock:
-            self.stats["misses"] += 1
-        get_recorder().metrics.counter("matview.misses").inc()
-        # Admission guard: bound concurrent computations.
-        if not self._gate.acquire(blocking=False):
-            with self._lock:
-                self.stats["admission_waits"] += 1
-            get_recorder().metrics.counter("matview.admission_waits").inc()
-            self._gate.acquire()
+            _count_metric(kind, "singleflight_waits")
+            flight.wait()
+        _count_metric(kind, "misses")
         started = time.perf_counter()
         try:
             value = compute()
         except BaseException:
             with self._lock:
-                self._inflight.pop(key, None)
-            self._gate.release()
-            flight.event.set()
+                self._inflight.pop(slot, None)
+            flight.set()
             raise
         seconds = time.perf_counter() - started
         if callable(footprint):
             footprint = footprint()
         view = MaterializedView(
-            key=key, value=value, fingerprint=fingerprint,
-            footprint=footprint, sources=frozenset(sources),
-            compute_seconds=seconds)
+            kind, key, value, flight.generation, footprint,
+            frozenset(sources), fingerprint, seconds)
         with self._lock:
-            self._inflight.pop(key, None)
-            if self._generation == flight.generation:
-                self._views[key] = view
-                self._views.move_to_end(key)
-                while len(self._views) > self.max_views:
-                    self._views.popitem(last=False)
-                    self.stats["evictions"] += 1
-            else:
-                # An invalidation landed while we were computing: the
-                # value may predate the change, so hand it to our
-                # caller but keep it out of the cache.
-                self.stats["stale_discards"] += 1
-        self._gate.release()
-        flight.event.set()
+            self._inflight.pop(slot, None)
+            # A compute that straddled an invalidation may have read
+            # pre-change data: its caller gets the value, the cache not.
+            stored = self._generation == flight.generation
+            if stored:
+                self._views[slot] = view
+            gone = [] if stored else [view]
+            while len(self._views) > self.max_views:
+                gone.append(self._views.popitem(last=False)[1])
+            reason = "evictions" if stored else "stale_discards"
+            for victim in gone:
+                self._kinds[victim.kind][reason] += 1
+        flight.set()
+        for victim in gone:
+            _count_metric(victim.kind, reason)
+        self._notify(gone)
         return value
 
     # -- invalidation -----------------------------------------------------
 
     def invalidate(self, change: Optional[ChangeSummary] = None) -> int:
-        """Drop views affected by ``change`` (all of them if ``None``).
-
-        Returns the number of views dropped.  Views without a recorded
-        footprint are always dropped — unknown dependencies make a full
-        drop the only sound choice.
-        """
+        """Drop the views of every kind that ``change`` may affect (all
+        of them if ``None``); returns how many dropped."""
         with self._lock:
             self._generation += 1
-            if change is None or getattr(change, "full", False):
-                dropped = len(self._views)
-                self._views.clear()
-            else:
-                victims = [k for k, v in self._views.items()
-                           if v.depends_on(change)]
-                for k in victims:
-                    del self._views[k]
-                dropped = len(victims)
-            self.stats["invalidations"] += 1
-            self.stats["views_dropped"] += dropped
-        metrics = get_recorder().metrics
-        metrics.counter("matview.invalidations").inc()
-        if dropped:
-            metrics.counter("matview.views_dropped").inc(dropped)
-        return dropped
-
-    def drop(self, key: str) -> bool:
-        """Drop one view by key."""
-        with self._lock:
-            self._generation += 1
-            present = self._views.pop(key, None) is not None
-            if present:
-                self.stats["views_dropped"] += 1
-        return present
+            victims = [view for view in self._views.values()
+                       if view.depends_on(change)]
+            for view in victims:
+                del self._views[(view.kind, view.key)]
+            for counts in self._kinds.values():
+                counts["invalidations"] += 1
+            dropped = Counter(view.kind for view in victims)
+            for kind, count in dropped.items():
+                self._kinds[kind]["views_dropped"] += count
+        _count_metric(DEFAULT_KIND, "invalidations")
+        for kind, count in dropped.items():
+            _count_metric(kind, "views_dropped", count)
+        self._notify(victims)
+        return len(victims)
 
     # -- introspection ----------------------------------------------------
 
@@ -329,22 +298,53 @@ class MatViewRegistry:
         with self._lock:
             return len(self._views)
 
-    def snapshot(self, limit: int = 50) -> dict:
-        """The /debug/matviews document: totals plus hottest views."""
+    def __contains__(self, slot: tuple[str, Hashable]) -> bool:
+        """Whether the ``(kind, key)`` view is stored."""
         with self._lock:
-            stats = dict(self.stats)
+            return slot in self._views
+
+    @property
+    def generation(self) -> int:
+        """How many invalidations the registry has seen."""
+        return self._generation
+
+    def entries(self, kind: str) -> list[MaterializedView]:
+        """The stored views of one kind, least recently used first."""
+        with self._lock:
+            return [view for (k, _), view in self._views.items()
+                    if k == kind]
+
+    def counters(self, kind: str) -> dict[str, int]:
+        """A copy of one kind's counters plus its stored-view count."""
+        with self._lock:
+            counts = dict(self._kinds[kind])
+            counts["views"] = sum(1 for k, _ in self._views if k == kind)
+        return counts
+
+    def snapshot(self, limit: int = 50) -> dict:
+        """The /debug/matviews document: totals plus hottest views.
+
+        The top-level counters are the default kind's; ``kinds`` breaks
+        every kind's counters and stored views out.
+        """
+        with self._lock:
+            kinds = {kind: dict(counts)
+                     for kind, counts in self._kinds.items()}
+            stats = kinds[DEFAULT_KIND]
             views = list(self._views.values())
             inflight = len(self._inflight)
             generation = self._generation
+        stored = Counter(view.kind for view in views)
         views.sort(key=lambda v: v.hits, reverse=True)
         return {
             "enabled": True,
             "views": len(views),
             "max_views": self.max_views,
-            "max_inflight": self.max_inflight,
             "inflight": inflight,
             "generation": generation,
             **stats,
+            "kinds": {kind: {**counts, "views": stored[kind]}
+                      for kind, counts in kinds.items()},
             "top": [view.summary() for view in views[:limit]],
         }
 

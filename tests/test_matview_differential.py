@@ -79,22 +79,29 @@ def assert_server_matches_oracle(server: DynamicSiteServer,
                                  templates_factory=fig7_templates) -> None:
     """Every page, two layers: view-served body byte-identical to a
     cold serving stack, and page edges set-identical to a full
-    evaluation.  Each page is requested twice so the view-hit path is
-    exercised too."""
+    evaluation.  Each page is requested by URL first — in reverse
+    creation order, leaves before the hubs that link to them, so
+    routing cannot lean on a hub re-served earlier in the pass — then
+    twice by oid, so the view-hit path is exercised too."""
     site = QueryEngine().evaluate(query, data).output
     oracle = HtmlGenerator(site, templates_factory())
     pages = oracle.pages()
     assert pages, "oracle produced no pages"
     cold = DynamicSiteServer(query, data, templates_factory())
+    expected = {page: cold.request(page) for page in pages}
+    for page in reversed(pages):
+        url = oracle.url_for(page)
+        by_url = server.request(url)
+        assert by_url.status == 200, f"{context}: {url} -> {by_url.status}"
+        assert by_url.body == expected[page].body, f"{context}: stale {url}"
     for page in pages:
-        expected = cold.request(page)
-        assert expected.status == 200, \
-            f"{context}: cold {page} -> {expected.status}"
+        assert expected[page].status == 200, \
+            f"{context}: cold {page} -> {expected[page].status}"
         first = server.request(page)
         assert first.status == 200, f"{context}: {page} -> {first.status}"
-        assert first.body == expected.body, f"{context}: stale {page}"
+        assert first.body == expected[page].body, f"{context}: stale {page}"
         again = server.request(page)
-        assert again.body == expected.body, \
+        assert again.body == expected[page].body, \
             f"{context}: hit diverged {page}"
         assert _edge_multiset(server.graph, page) == \
             _edge_multiset(site, page), f"{context}: edges diverged {page}"
@@ -148,6 +155,7 @@ class TestDifferentialOracle:
         rng = random.Random(seed)
         data = fig2_data()
         server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
+        server.warm()  # as a serving front end does before taking URLs
         mutator = Mutator(rng)
         assert_server_matches_oracle(server, data, "seed start")
         rounds = max(1, ROUNDS // len(SEEDS))

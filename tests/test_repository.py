@@ -66,6 +66,34 @@ class TestGraphIndex:
         assert index.fresh
         assert index.label_cardinality("note") == 1
 
+    @staticmethod
+    def _retitle(graph: Graph, paper: Oid) -> None:
+        """Replace ``paper``'s only title: every size count stays put."""
+        graph.detach_node(paper)
+        graph.add_to_collection("Papers", paper)
+        graph.add_edge(paper, "title", Atom.string("New"))
+
+    def test_same_size_edit_makes_index_stale(self):
+        """Regression: freshness used to compare node, edge and
+        collection counts, so a detach plus an add of one edge left the
+        index "fresh" and an indexed query answered the old title."""
+        from repro.struql import QueryEngine
+
+        graph = Graph("g")
+        paper = Oid("paper")
+        graph.add_to_collection("Papers", paper)
+        graph.add_edge(paper, "title", Atom.string("Old"))
+        index = GraphIndex.build(graph)
+        self._retitle(graph, paper)
+        assert not index.fresh
+        query = 'input g where Papers(x), x -> "title" -> t ' \
+                'collect Titles(t) output o'
+        result = QueryEngine().evaluate(query, graph, index=index)
+        assert result.output.collection("Titles") == [Atom.string("New")]
+        index.refresh()
+        assert index.fresh
+        assert index.targets(paper, "title") == [Atom.string("New")]
+
 
 class TestStatistics:
     def test_counts(self, fig2_graph):
@@ -139,6 +167,17 @@ class TestRepository:
         assert repo.statistics("BIBTEX") is first
         fig2_graph.add_edge(Oid("pub2"), "note", Atom.string("x"))
         assert repo.statistics("BIBTEX") is not first
+
+    def test_statistics_follow_same_size_edit(self):
+        graph = Graph("g")
+        paper = Oid("paper")
+        graph.add_to_collection("Papers", paper)
+        graph.add_edge(paper, "title", Atom.string("Old"))
+        repo = Repository()
+        repo.store(graph)
+        first = repo.statistics("g")
+        TestGraphIndex._retitle(graph, paper)
+        assert repo.statistics("g") is not first
 
     def test_drop(self, fig2_graph):
         repo = Repository()

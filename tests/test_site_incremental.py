@@ -46,16 +46,16 @@ class TestDynamicSite:
         site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True)
         page = Oid.skolem("RootPage", ())
         site.get_page(page)
-        before = site.stats["page_cache_hits"]
+        before = site.stats_snapshot()["page_cache_hits"]
         site.get_page(page)
-        assert site.stats["page_cache_hits"] == before + 1
+        assert site.stats_snapshot()["page_cache_hits"] == before + 1
 
     def test_cache_disabled(self, fig2_graph):
         site = DynamicSite(FIG3_QUERY, fig2_graph, cache=False)
         page = Oid.skolem("RootPage", ())
         site.get_page(page)
         site.get_page(page)
-        assert site.stats["page_cache_hits"] == 0
+        assert site.stats_snapshot()["page_cache_hits"] == 0
         assert site.stats["pages_computed"] == 2
 
     def test_stats_reconcile(self, fig2_graph):

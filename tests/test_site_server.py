@@ -5,6 +5,7 @@ import pytest
 from repro.graph import Atom, Oid
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig7_templates
+from repro.struql.matview import ChangeSummary
 
 
 @pytest.fixture
@@ -122,6 +123,29 @@ class TestRouting:
         assert server.resolve_path(url) == root
         server.invalidate()
         assert server.resolve_path(url) == root
+
+    @pytest.mark.parametrize("change", [
+        None,
+        ChangeSummary(labels=frozenset({"title", "year", "category"}),
+                      collections=frozenset({"Publications"}))])
+    def test_page_added_by_update_routes_by_url(self, server, change):
+        """Regression: the only links to a new publication's page live
+        on pages the update dropped, so its URL 404'd until something
+        re-served one of them."""
+        server.crawl()
+        newpub = Oid("newpub")
+
+        def mutate(graph):
+            graph.add_to_collection("Publications", newpub)
+            graph.add_edge(newpub, "title", Atom.string("Fresh Result"))
+            graph.add_edge(newpub, "year", Atom.int(1998))
+            graph.add_edge(newpub, "category", Atom.string("Databases"))
+
+        server.update(mutate, change)
+        response = server.request("AbstractPage_newpub_.html")
+        assert response.status == 200
+        assert "Fresh Result" in response.body
+        assert server.request("nope.html").status == 404
 
 
 class TestStaleness:

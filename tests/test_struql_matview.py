@@ -1,4 +1,4 @@
-"""The materialized-view registry: single-flight, admission,
+"""The materialized-view registry: single-flight, kinds,
 footprint-driven invalidation, and the query-level entry point."""
 
 import threading
@@ -178,34 +178,6 @@ class TestRegistryServing:
         assert results == ["body"] * 6
         assert len(calls) == 1
         assert registry.stats["singleflight_waits"] >= 5
-
-    def test_admission_guard_bounds_inflight(self):
-        registry = MatViewRegistry(max_inflight=2)
-        running = []
-        peak = []
-        lock = threading.Lock()
-
-        def compute(key):
-            with lock:
-                running.append(key)
-                peak.append(len(running))
-            time.sleep(0.05)
-            with lock:
-                running.remove(key)
-            return key
-
-        threads = [
-            threading.Thread(
-                target=lambda k=f"k{i}": registry.get_or_compute(
-                    k, lambda: compute(k)))
-            for i in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10)
-        assert max(peak) <= 2
-        assert registry.stats["admission_waits"] >= 1
-        assert len(registry) == 6
 
     def test_compute_straddling_invalidation_is_not_cached(self):
         registry = MatViewRegistry()
