@@ -123,9 +123,9 @@ class Graph:
     graph" / "output graph" in StruQL queries).
 
     :attr:`version` counts content changes: every mutation that adds or
-    removes a node, edge or collection membership bumps it, so derived
-    structures (indexes, statistics) judge freshness by comparing the
-    version they were built at.
+    removes a node, edge or collection membership bumps it.  Derived
+    artefacts (indexes, statistics) are owned by the graph and memoized
+    per version by :meth:`derived`.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -137,6 +137,31 @@ class Graph:
         self._edges: set[Edge] = set()
         self._collections: dict[str, dict[GraphObject, None]] = {}
         self._frozen: set[Oid] = set()
+        #: build function -> (version it was built at, artefact)
+        self._derived: dict[Callable, tuple[int, Any]] = {}
+
+    # -- derived artefacts -------------------------------------------------------
+
+    def derived(self, build: Callable[["Graph"], Any]) -> Any:
+        """``build(self)``, computed once per :attr:`version`.
+
+        The entry is tagged with the version read *before* the build, so
+        a mutation racing the build can only make it look stale, never
+        fresh.  Concurrent misses may each build; every result is valid
+        for the version it is tagged with.  A stale entry is dropped
+        before the rebuild, so old and new artefacts need not coexist.
+        Artefacts are shared, so callers must not mutate them.
+        """
+        version = self.version
+        entry = self._derived.get(build)
+        if entry is not None:
+            if entry[0] == version:
+                return entry[1]
+            self._derived.pop(build, None)
+            entry = None        # release the old artefact here too
+        value = build(self)
+        self._derived[build] = (version, value)
+        return value
 
     # -- nodes ---------------------------------------------------------------
 

@@ -17,15 +17,16 @@
   which the atom appears, regardless of collection or attribute;
 * forward/backward adjacency by ``(node, label)``.
 
-The index is a snapshot: build it with :meth:`GraphIndex.build` and call
-:meth:`refresh` after mutating the graph.  The query processor checks
-:attr:`GraphIndex.fresh` and falls back to graph scans when the snapshot
-is stale or indexing is disabled (benchmark A1 measures the difference).
+The index is an immutable snapshot of one graph version.  The graph owns
+it: ``graph.derived(GraphIndex.build)`` builds it once per version and
+shares it.  The query processor checks :attr:`GraphIndex.fresh` and
+falls back to graph scans when the snapshot is stale or indexing is
+disabled (benchmark A1 measures the difference).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import weakref
 
 from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
@@ -33,50 +34,46 @@ from repro.obs.trace import emit_event, get_recorder
 
 
 class GraphIndex:
-    """A full schema + data index over one :class:`~repro.graph.Graph`."""
+    """A full schema + data index over one :class:`~repro.graph.Graph`.
+
+    The graph is held weakly: the graph's memo keeps its index alive,
+    and no reference cycle keeps a dropped graph alive.
+    """
 
     def __init__(self, graph: Graph) -> None:
-        self.graph = graph
+        self._graph = weakref.ref(graph)
+        self._version = graph.version
         self._labels: set[str] = set()
-        self._collection_names: set[str] = set()
+        self._collection_names = set(graph.collection_names())
         self._attribute_extent: dict[str, list[tuple[Oid, GraphObject]]] = {}
         self._forward: dict[tuple[Oid, str], list[GraphObject]] = {}
         self._backward: dict[str, dict[GraphObject, list[Oid]]] = {}
         self._value_index: dict[Atom, list[tuple[Oid, str]]] = {}
-        self._version = -1
 
-    # -- lifecycle ------------------------------------------------------------
+    @property
+    def graph(self) -> Graph | None:
+        """The indexed graph, or ``None`` once it has been freed."""
+        return self._graph()
 
     @classmethod
     def build(cls, graph: Graph) -> "GraphIndex":
-        """Construct and populate an index for ``graph``."""
-        index = cls(graph)
-        index.refresh()
-        return index
-
-    def refresh(self) -> None:
-        """Rebuild every index structure from the current graph state."""
+        """Index ``graph`` as of its current version."""
         recorder = get_recorder()
-        with recorder.span("index.build", graph=self.graph.name) as span:
-            self._labels.clear()
-            self._collection_names = set(self.graph.collection_names())
-            self._attribute_extent.clear()
-            self._forward.clear()
-            self._backward.clear()
-            self._value_index.clear()
-            for edge in self.graph.edges():
-                self._insert_edge(edge)
-            self._version = self.graph.version
-            span.set(labels=len(self._labels),
-                     values=len(self._value_index))
-            emit_event("info", "index.build", graph=self.graph.name,
-                       labels=len(self._labels),
-                       values=len(self._value_index))
+        with recorder.span("index.build", graph=graph.name) as span:
+            index = cls(graph)
+            for edge in graph.edges():
+                index._insert_edge(edge)
+            span.set(labels=len(index._labels),
+                     values=len(index._value_index))
+            emit_event("info", "index.build", graph=graph.name,
+                       labels=len(index._labels),
+                       values=len(index._value_index))
         recorder.metrics.counter("repository.index.builds").inc()
         recorder.metrics.gauge("repository.index.labels").set(
-            len(self._labels))
+            len(index._labels))
         recorder.metrics.gauge("repository.index.values").set(
-            len(self._value_index))
+            len(index._value_index))
+        return index
 
     def _insert_edge(self, edge: Edge) -> None:
         source, label, target = edge
@@ -91,7 +88,8 @@ class GraphIndex:
     @property
     def fresh(self) -> bool:
         """Whether the snapshot was built at the graph's current version."""
-        return self._version == self.graph.version
+        graph = self.graph
+        return graph is not None and self._version == graph.version
 
     # -- schema index -----------------------------------------------------------
 
@@ -115,9 +113,10 @@ class GraphIndex:
 
     def collection_extent(self, name: str) -> list[GraphObject]:
         """Members of collection ``name`` (empty for unknown names)."""
-        if not self.graph.has_collection(name):
+        graph = self.graph
+        if graph is None or not graph.has_collection(name):
             return []
-        return self.graph.collection(name)
+        return graph.collection(name)
 
     # -- adjacency ---------------------------------------------------------------
 
@@ -148,11 +147,10 @@ class GraphIndex:
 
     def collection_cardinality(self, name: str) -> int:
         """Number of members of collection ``name``."""
-        if not self.graph.has_collection(name):
-            return 0
-        return len(self.graph.collection(name))
+        return len(self.collection_extent(name))
 
     def __repr__(self) -> str:
-        return (f"GraphIndex(graph={self.graph.name!r}, "
+        graph = self.graph
+        return (f"GraphIndex(graph={graph.name if graph else None!r}, "
                 f"labels={len(self._labels)}, "
                 f"values={len(self._value_index)}, fresh={self.fresh})")

@@ -1,14 +1,10 @@
 """The STRUDEL data repository (paper section 2.2).
 
-The repository stores data graphs and site graphs uniformly, keeps the
-full schema/data indexes of :mod:`repro.repository.indexes` for each
-graph, serves statistics to the optimizer, and persists everything to
-disk via :mod:`repro.repository.storage`.
-
-Indexing can be disabled per repository (``indexing=False``); the query
-processor then evaluates by graph scans.  Benchmark A1 uses this switch
-to reproduce the paper's "maintaining these indexes is expensive, but
-they provide many benefits to our query language" trade-off.
+The repository stores data graphs and site graphs uniformly and
+persists them to disk via :mod:`repro.repository.storage`.  Each graph
+owns its derived artefacts — the full schema/data index of
+:mod:`repro.repository.indexes` and the optimizer's statistics — which
+:meth:`~repro.graph.Graph.derived` memoizes per graph version.
 """
 
 from __future__ import annotations
@@ -17,34 +13,24 @@ from typing import Iterator
 
 from repro.errors import UnknownGraphError
 from repro.graph.model import Database, Graph
-from repro.repository.indexes import GraphIndex
-from repro.repository.stats import GraphStatistics
 
 
 class Repository:
-    """An indexed store of named graphs.
+    """A store of named graphs.
 
     Thin by design: a repository is a :class:`~repro.graph.Database` plus
-    per-graph index and statistics caches.  Graph mutations go through
-    the graph object itself; the caches detect staleness by the graph's
-    version and rebuild lazily on next access.
+    persistence.  Graph mutations go through the graph object itself,
+    which also owns the graph's index and statistics.
     """
 
-    def __init__(self, name: str = "strudel", indexing: bool = True) -> None:
+    def __init__(self, name: str = "strudel") -> None:
         self.database = Database(name)
-        self.indexing = indexing
-        self._indexes: dict[str, GraphIndex] = {}
-        #: graph name -> (graph version, statistics gathered at it)
-        self._stats: dict[str, tuple[int, GraphStatistics]] = {}
 
     # -- graph management -------------------------------------------------------
 
     def store(self, graph: Graph) -> Graph:
         """Add or replace a named graph; returns it for chaining."""
-        self.database.add_graph(graph)
-        self._indexes.pop(graph.name, None)
-        self._stats.pop(graph.name, None)
-        return graph
+        return self.database.add_graph(graph)
 
     def new_graph(self, name: str) -> Graph:
         """Create, store and return an empty graph."""
@@ -61,10 +47,8 @@ class Repository:
         return self.database.has_graph(name)
 
     def drop(self, name: str) -> None:
-        """Remove a graph and its caches; missing names are ignored."""
+        """Remove a graph; missing names are ignored."""
         self.database.remove_graph(name)
-        self._indexes.pop(name, None)
-        self._stats.pop(name, None)
 
     def graph_names(self) -> list[str]:
         """Sorted names of stored graphs."""
@@ -77,36 +61,6 @@ class Repository:
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and self.database.has_graph(name)
 
-    # -- index & statistics access ------------------------------------------------
-
-    def index(self, name: str) -> GraphIndex | None:
-        """The (fresh) index for graph ``name``, or ``None`` if indexing
-        is disabled for this repository."""
-        if not self.indexing:
-            return None
-        graph = self.graph(name)
-        index = self._indexes.get(name)
-        if index is None:
-            index = GraphIndex.build(graph)
-            self._indexes[name] = index
-        elif not index.fresh:
-            index.refresh()
-        return index
-
-    def statistics(self, name: str) -> GraphStatistics:
-        """Statistics snapshot for graph ``name`` (rebuilt when stale)."""
-        graph = self.graph(name)
-        cached = self._stats.get(name)
-        if cached is None or cached[0] != graph.version:
-            cached = self._stats[name] = (graph.version,
-                                          GraphStatistics.gather(graph))
-        return cached[1]
-
-    def invalidate(self, name: str) -> None:
-        """Force index/statistics rebuild for graph ``name`` on next use."""
-        self._indexes.pop(name, None)
-        self._stats.pop(name, None)
-
     def __repr__(self) -> str:
         return (f"Repository({self.database.name!r}, "
-                f"graphs={self.graph_names()}, indexing={self.indexing})")
+                f"graphs={self.graph_names()})")

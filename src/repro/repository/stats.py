@@ -12,6 +12,9 @@ numbers a plan's cost formulas need:
   traversals;
 * fan-in, used to cost backward traversals;
 * distinct-value counts, used to estimate equality selectivity.
+
+The graph owns its statistics: ``graph.derived(GraphStatistics.gather)``
+gathers them once per graph version and shares the snapshot.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom
+from repro.obs.trace import get_recorder
 
 
 @dataclass
@@ -59,27 +63,32 @@ class GraphStatistics:
     @classmethod
     def gather(cls, graph: Graph) -> "GraphStatistics":
         """Compute statistics from ``graph`` in one pass over its edges."""
-        stats = cls(node_count=graph.node_count)
-        sources: dict[str, set[Oid]] = {}
-        targets: dict[str, set[object]] = {}
-        atoms: set[int] = set()
-        for edge in graph.edges():
-            stats.edge_count += 1
-            label = stats.labels.setdefault(edge.label, LabelStats())
-            label.edges += 1
-            sources.setdefault(edge.label, set()).add(edge.source)
-            targets.setdefault(edge.label, set()).add(
-                edge.target if isinstance(edge.target, Oid)
-                else ("atom", str(edge.target.type), str(edge.target.value)))
-            if isinstance(edge.target, Atom):
-                label.atom_targets += 1
-                atoms.add(id(edge.target))
-        for name, label in stats.labels.items():
-            label.distinct_sources = len(sources[name])
-            label.distinct_targets = len(targets[name])
-        stats.atom_count = len(atoms)
-        for cname in graph.collection_names():
-            stats.collections[cname] = len(graph.collection(cname))
+        recorder = get_recorder()
+        with recorder.span("stats.gather", graph=graph.name) as span:
+            stats = cls(node_count=graph.node_count)
+            sources: dict[str, set[Oid]] = {}
+            targets: dict[str, set[object]] = {}
+            atoms: set[int] = set()
+            for edge in graph.edges():
+                stats.edge_count += 1
+                label = stats.labels.setdefault(edge.label, LabelStats())
+                label.edges += 1
+                sources.setdefault(edge.label, set()).add(edge.source)
+                targets.setdefault(edge.label, set()).add(
+                    edge.target if isinstance(edge.target, Oid)
+                    else ("atom", str(edge.target.type),
+                          str(edge.target.value)))
+                if isinstance(edge.target, Atom):
+                    label.atom_targets += 1
+                    atoms.add(id(edge.target))
+            for name, label in stats.labels.items():
+                label.distinct_sources = len(sources[name])
+                label.distinct_targets = len(targets[name])
+            stats.atom_count = len(atoms)
+            for cname in graph.collection_names():
+                stats.collections[cname] = len(graph.collection(cname))
+            span.set(edges=stats.edge_count, labels=len(stats.labels))
+        recorder.metrics.counter("repository.stats.gathers").inc()
         return stats
 
     # -- estimates used by the cost model ------------------------------------

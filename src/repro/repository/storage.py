@@ -46,14 +46,14 @@ def save_repository(repo: Repository, root: str) -> None:
                   json.dumps(manifest, indent=2))
 
 
-def load_repository(root: str, indexing: bool = True) -> Repository:
+def load_repository(root: str) -> Repository:
     """Load a repository previously saved with :func:`save_repository`."""
     manifest_path = os.path.join(root, _MANIFEST)
     if not os.path.exists(manifest_path):
         raise RepositoryError(f"no repository manifest at {manifest_path}")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    repo = Repository(manifest.get("name", "strudel"), indexing=indexing)
+    repo = Repository(manifest.get("name", "strudel"))
     for entry in manifest.get("graphs", []):
         path = os.path.join(root, _GRAPH_DIR, entry["file"])
         if not os.path.exists(path):

@@ -9,7 +9,8 @@ request evaluates the query over the data graph with the submitted
 parameters, renders the query's result page, and returns the HTML —
 exactly the click-time path, but for pages whose identity includes user
 input.  Results are cached per parameter tuple ("cache query results to
-reduce click time for future queries").
+reduce click time for future queries") until the data graph's version
+moves.
 
 String-matching built-ins useful in form queries (``contains``,
 ``startsWith``, ``endsWith``) are registered on the handler's engine.
@@ -95,6 +96,8 @@ class FormHandler:
         self.loader = loader
         self._cache_enabled = cache
         self._cache: dict[tuple, FormResponse] = {}
+        #: Data-graph version the cached responses were rendered at.
+        self._cache_version = data.version
         self.stats = {"requests": 0, "cache_hits": 0, "evaluations": 0}
 
     def submit(self, **params) -> FormResponse:
@@ -115,6 +118,9 @@ class FormHandler:
             params[p], (Atom, Oid)) else params[p]
             for p in self.query.params)
         key = values
+        if self._cache_version != self.data.version:
+            self._cache.clear()
+            self._cache_version = self.data.version
         with timed("form.submit") as span:
             if self._cache_enabled and key in self._cache:
                 self.stats["cache_hits"] += 1
@@ -145,7 +151,3 @@ class FormHandler:
         if self._cache_enabled:
             self._cache[key] = response
         return response
-
-    def invalidate(self) -> None:
-        """Drop cached responses after a data update."""
-        self._cache.clear()

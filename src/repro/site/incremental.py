@@ -42,7 +42,7 @@ from repro.struql.bindings import Binding, RuntimeValue, as_label
 from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
 from repro.struql.matview import MatViewRegistry
 from repro.struql.parser import parse_query
-from repro.struql.plan import ExecutionContext, Plan
+from repro.struql.plan import Plan
 from repro.struql.rewriter import ConjunctiveUnit, flatten
 from repro.struql.skolem import SkolemRegistry
 
@@ -105,7 +105,6 @@ class DynamicSite:
         self.memo = MatViewRegistry(max_views=self.max_pages)
         self._sources = frozenset({data.name})
         self._graph: weakref.ref | None = None
-        self._index = None
         #: Reentrant, and shared with :class:`LazySiteGraph` reads so
         #: none overlaps a detach.
         self.lock = threading.RLock()
@@ -300,11 +299,7 @@ class DynamicSite:
 
     def _evaluate_unit(self, unit: ConjunctiveUnit,
                        seed: Binding) -> list[Binding]:
-        if self._index is None or not self._index.fresh:
-            from repro.repository.indexes import GraphIndex
-            self._index = GraphIndex.build(self.data)
-        ctx = ExecutionContext(self.data, index=self._index,
-                               predicates=self.engine.predicates)
+        ctx = self.engine.context(self.data)
         # Aggregates partition the FULL binding relation.  Seeding the
         # page's Skolem arguments before an aggregate whose group does
         # not cover them would aggregate over the restricted rows and

@@ -129,9 +129,14 @@ class QueryEngine:
 
     # -- public API --------------------------------------------------------------
 
+    def context(self, graph: Graph) -> ExecutionContext:
+        """An execution context over ``graph``, using the index the
+        graph memoizes for its current version unless indexing is off."""
+        index = graph.derived(GraphIndex.build) if self.indexing else None
+        return ExecutionContext(graph, index=index,
+                                predicates=self.predicates)
+
     def evaluate(self, query: Query | str, graph: Graph,
-                 index: GraphIndex | None = None,
-                 stats: GraphStatistics | None = None,
                  output: Graph | None = None,
                  skolem: SkolemRegistry | None = None,
                  initial: Binding | None = None) -> QueryResult:
@@ -149,14 +154,8 @@ class QueryEngine:
         if output is None:
             output = Graph(query.output_name)
         skolem = skolem or SkolemRegistry()
-        if stats is None:
-            stats = GraphStatistics.gather(graph)
-        if not self.indexing:
-            index = None
-        elif index is None:
-            index = GraphIndex.build(graph)
-        ctx = ExecutionContext(graph, index=index,
-                               predicates=self.predicates, stats=stats)
+        stats = graph.derived(GraphStatistics.gather)
+        ctx = self.context(graph)
         builder = GraphBuilder(output, graph, skolem)
         result = QueryResult(output=output, skolem=skolem)
         # Collections named by collect clauses exist even when empty.
@@ -174,7 +173,7 @@ class QueryEngine:
         with get_recorder().span("struql.query", input=query.input_name,
                                  output=query.output_name,
                                  optimizer=self.optimizer.name,
-                                 indexed=index is not None,
+                                 indexed=ctx.index is not None,
                                  fingerprint=result.fingerprint):
             self._run_block(query.root, [seed], set(seed), ctx, builder,
                             result, stats)
@@ -212,8 +211,7 @@ class QueryEngine:
         return materialize_query(self, query, graph, registry,
                                  sources=sources)
 
-    def plan_only(self, query: Query | str, graph: Graph,
-                  stats: GraphStatistics | None = None) -> QueryResult:
+    def plan_only(self, query: Query | str, graph: Graph) -> QueryResult:
         """EXPLAIN without ANALYZE: plan every block, execute nothing.
 
         Orders each block's conditions exactly as :meth:`evaluate`
@@ -225,8 +223,7 @@ class QueryEngine:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        if stats is None:
-            stats = GraphStatistics.gather(graph)
+        stats = graph.derived(GraphStatistics.gather)
         result = QueryResult(output=Graph(query.output_name),
                              skolem=SkolemRegistry(),
                              fingerprint=fingerprint(query),
@@ -265,8 +262,8 @@ class QueryEngine:
 
     def run(self, query: Query | str, repository: Repository,
             skolem: SkolemRegistry | None = None) -> QueryResult:
-        """Evaluate against a repository: resolves the input graph, uses
-        its indexes and statistics, and stores the output graph.
+        """Evaluate against a repository: resolves the input graph and
+        stores the output graph.
 
         If the output graph already exists in the repository it is
         extended rather than replaced.
@@ -274,12 +271,9 @@ class QueryEngine:
         if isinstance(query, str):
             query = parse_query(query)
         graph = repository.graph(query.input_name)
-        index = repository.index(query.input_name)
-        stats = repository.statistics(query.input_name)
         output = (repository.graph(query.output_name)
                   if repository.has_graph(query.output_name) else None)
-        result = self.evaluate(query, graph, index=index, stats=stats,
-                               output=output, skolem=skolem)
+        result = self.evaluate(query, graph, output=output, skolem=skolem)
         repository.store(result.output)
         return result
 
@@ -288,7 +282,7 @@ class QueryEngine:
     def _run_block(self, block: Block, parent_rows: list[Binding],
                    bound: set[str], ctx: ExecutionContext,
                    builder: GraphBuilder, result: QueryResult,
-                   stats: GraphStatistics | None) -> None:
+                   stats: GraphStatistics) -> None:
         recorder = get_recorder()
         with timed("struql.block", label=block.label or "(top)") as span:
             estimated: float | None = None
@@ -303,18 +297,16 @@ class QueryEngine:
                         ctx.predicates, stats)
                     ordered = _enforce_aggregate_order(ordered)
                 plan = Plan.from_conditions(ordered)
-                if stats is not None:
-                    estimated = round(annotate_plan(
-                        plan.ops, bound, stats,
-                        parent_rows=len(parent_rows),
-                        graph=ctx.graph), 2)
-                    if recorder.enabled:
-                        span.set(estimated_rows=estimated)
-                    if self.decision_trace:
-                        decisions = trace_decisions(
-                            ordered, bound, stats, ctx.graph,
-                            ctx.predicates, optimizer=self.optimizer,
-                            parent_rows=len(parent_rows))
+                estimated = round(annotate_plan(
+                    plan.ops, bound, stats, parent_rows=len(parent_rows),
+                    graph=ctx.graph), 2)
+                if recorder.enabled:
+                    span.set(estimated_rows=estimated)
+                if self.decision_trace:
+                    decisions = trace_decisions(
+                        ordered, bound, stats, ctx.graph, ctx.predicates,
+                        optimizer=self.optimizer,
+                        parent_rows=len(parent_rows))
                 rows = plan.execute(ctx,
                                     initial=[dict(r) for r in parent_rows])
                 explain = plan.explain()

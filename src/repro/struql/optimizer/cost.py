@@ -363,10 +363,10 @@ class CostBasedOptimizer(Optimizer):
     def order(self, conditions: Sequence[Condition], bound: set[str],
               graph: Graph, predicates: PredicateRegistry,
               stats: GraphStatistics | None = None) -> list[Condition]:
-        if stats is None:
-            stats = GraphStatistics.gather(graph)
         if len(conditions) <= 1:
             return list(conditions)
+        if stats is None:
+            stats = graph.derived(GraphStatistics.gather)
         if len(conditions) <= DP_LIMIT:
             return self._dp_order(conditions, bound, graph, predicates,
                                   stats)

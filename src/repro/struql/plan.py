@@ -40,7 +40,6 @@ from repro.graph.values import Atom
 from repro.obs.queries import MISESTIMATE_RATIO, misestimate_ratio
 from repro.obs.trace import get_recorder
 from repro.repository.indexes import GraphIndex
-from repro.repository.stats import GraphStatistics
 from repro.struql.ast import (
     AggregateCond,
     ComparisonCond,
@@ -75,14 +74,12 @@ class ExecutionContext:
     """
 
     def __init__(self, graph: Graph, index: GraphIndex | None = None,
-                 predicates: PredicateRegistry | None = None,
-                 stats: GraphStatistics | None = None) -> None:
+                 predicates: PredicateRegistry | None = None) -> None:
         self.graph = graph
         # A stale index (built at an older graph version) would answer
         # with old data: fall back to scans.
         self.index = index if (index is not None and index.fresh) else None
         self.predicates = predicates or default_registry()
-        self.stats = stats
         self._path_evaluators: dict[RegularPath, PathEvaluator] = {}
         # Counter handles resolved once per context: one no-op call per
         # lookup when observability is disabled.

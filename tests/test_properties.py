@@ -288,6 +288,17 @@ class TestEngineProperties:
         without = QueryEngine(indexing=False).evaluate(
             COPY_QUERY, graph).output
         assert frozenset(with_index.edges()) == frozenset(without.edges())
+        # Click-time arm: page views from indexed and scanning sites.
+        sites = [DynamicSite(COPY_QUERY, graph,
+                             engine=QueryEngine(indexing=indexing))
+                 for indexing in (True, False)]
+        for node in with_index.nodes():
+            if node.skolem_fn is None:
+                continue
+            indexed, scanned = (set(site.get_page(node).edges)
+                                for site in sites)
+            assert indexed == scanned == {
+                (e.label, e.target) for e in with_index.out_edges(node)}
 
     @given(graphs())
     @settings(max_examples=25, deadline=None)

@@ -62,9 +62,10 @@ class TestGraphIndex:
         assert index.fresh
         fig2_graph.add_edge(Oid("pub1"), "note", Atom.string("new"))
         assert not index.fresh
-        index.refresh()
-        assert index.fresh
-        assert index.label_cardinality("note") == 1
+        assert index.label_cardinality("note") == 0  # a snapshot
+        rebuilt = fig2_graph.derived(GraphIndex.build)
+        assert rebuilt.fresh
+        assert rebuilt.label_cardinality("note") == 1
 
     @staticmethod
     def _retitle(graph: Graph, paper: Oid) -> None:
@@ -78,21 +79,25 @@ class TestGraphIndex:
         collection counts, so a detach plus an add of one edge left the
         index "fresh" and an indexed query answered the old title."""
         from repro.struql import QueryEngine
+        from repro.struql.plan import ExecutionContext
 
         graph = Graph("g")
         paper = Oid("paper")
         graph.add_to_collection("Papers", paper)
         graph.add_edge(paper, "title", Atom.string("Old"))
-        index = GraphIndex.build(graph)
+        index = graph.derived(GraphIndex.build)
         self._retitle(graph, paper)
         assert not index.fresh
+        # Handed the stale snapshot, a context scans the graph instead.
+        assert ExecutionContext(graph, index=index).index is None
         query = 'input g where Papers(x), x -> "title" -> t ' \
                 'collect Titles(t) output o'
-        result = QueryEngine().evaluate(query, graph, index=index)
+        result = QueryEngine().evaluate(query, graph)
         assert result.output.collection("Titles") == [Atom.string("New")]
-        index.refresh()
-        assert index.fresh
-        assert index.targets(paper, "title") == [Atom.string("New")]
+        rebuilt = graph.derived(GraphIndex.build)
+        assert rebuilt is not index and rebuilt.fresh
+        assert rebuilt.targets(paper, "title") == [Atom.string("New")]
+        assert index.targets(paper, "title") == [Atom.string("Old")]
 
 
 class TestStatistics:
@@ -147,37 +152,52 @@ class TestRepository:
             Repository().graph("nope")
 
     def test_index_cached_and_rebuilt(self, fig2_graph):
+        # A stored graph owns its index: one per graph version.
         repo = Repository()
         repo.store(fig2_graph)
-        index = repo.index("BIBTEX")
-        assert repo.index("BIBTEX") is index
+        graph = repo.graph("BIBTEX")
+        index = graph.derived(GraphIndex.build)
+        assert graph.derived(GraphIndex.build) is index
         fig2_graph.add_edge(Oid("pub1"), "note", Atom.string("x"))
-        refreshed = repo.index("BIBTEX")
+        refreshed = graph.derived(GraphIndex.build)
+        assert refreshed is not index
         assert refreshed.label_cardinality("note") == 1
 
     def test_indexing_disabled(self, fig2_graph):
-        repo = Repository(indexing=False)
+        # The engine's switch is the one indexing switch: running over
+        # a repository with it off builds no index.
+        from repro import obs
+        from repro.struql import QueryEngine
+
+        repo = Repository()
         repo.store(fig2_graph)
-        assert repo.index("BIBTEX") is None
+        with obs.recording() as rec:
+            QueryEngine(indexing=False).run(
+                'input BIBTEX where Publications(x), x -> "year" -> y '
+                'create P(y) output O', repo)
+        counters = rec.metrics.as_dict()["counters"]
+        assert counters.get("repository.index.builds", 0) == 0
+        assert counters["repository.index.misses"] > 0
+        assert repo.graph("O").node_count == 2
 
     def test_statistics_cached(self, fig2_graph):
         repo = Repository()
         repo.store(fig2_graph)
-        first = repo.statistics("BIBTEX")
-        assert repo.statistics("BIBTEX") is first
+        graph = repo.graph("BIBTEX")
+        first = graph.derived(GraphStatistics.gather)
+        assert graph.derived(GraphStatistics.gather) is first
         fig2_graph.add_edge(Oid("pub2"), "note", Atom.string("x"))
-        assert repo.statistics("BIBTEX") is not first
+        assert graph.derived(GraphStatistics.gather) is not first
 
     def test_statistics_follow_same_size_edit(self):
         graph = Graph("g")
         paper = Oid("paper")
         graph.add_to_collection("Papers", paper)
         graph.add_edge(paper, "title", Atom.string("Old"))
-        repo = Repository()
-        repo.store(graph)
-        first = repo.statistics("g")
+        first = graph.derived(GraphStatistics.gather)
+        assert graph.derived(GraphStatistics.gather) is first
         TestGraphIndex._retitle(graph, paper)
-        assert repo.statistics("g") is not first
+        assert graph.derived(GraphStatistics.gather) is not first
 
     def test_drop(self, fig2_graph):
         repo = Repository()
@@ -220,3 +240,61 @@ class TestStorage:
         save_repository(repo, str(tmp_path))
         back = load_repository(str(tmp_path))
         assert back.has_graph("weird/name graph")
+
+
+class TestGraphOwnsArtefacts:
+    """``Graph.derived`` is the one owner of a graph's index and
+    statistics: built once per graph version, shared, freed with it."""
+
+    def test_crawl_at_one_version_gathers_and_builds_once(
+            self, fig2_graph, monkeypatch):
+        from repro import DynamicSiteServer
+        from repro.sites.homepage import FIG3_QUERY, fig7_templates
+
+        calls = []
+        for cls, name in ((GraphStatistics, "gather"),
+                          (GraphIndex, "build")):
+            def spy(klass, graph, _real=getattr(cls, name), _name=name):
+                calls.append((_name, graph.name))
+                return _real(graph)
+            monkeypatch.setattr(cls, name, classmethod(spy))
+        server = DynamicSiteServer(FIG3_QUERY, fig2_graph,
+                                   fig7_templates())
+        version = fig2_graph.version
+        pages = server.crawl()
+        assert len(pages) == 9 and all(p.status == 200 for p in pages)
+        assert fig2_graph.version == version
+        assert sorted(calls) == [("build", "BIBTEX"), ("gather", "BIBTEX")]
+
+    def test_gather_is_traced(self, fig2_graph):
+        from repro import obs
+
+        with obs.recording() as rec:
+            fig2_graph.derived(GraphStatistics.gather)
+        [span] = [s for s in rec.roots if s.name == "stats.gather"]
+        assert span.attributes["edges"] == fig2_graph.edge_count
+
+    def test_dropped_graph_is_freed_without_gc(self):
+        import gc
+        import weakref
+
+        from repro.struql import QueryEngine
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph = Graph("g")
+            graph.add_to_collection("C", Oid("a"))
+            graph.add_edge(Oid("a"), "x", Atom.int(1))
+            QueryEngine().evaluate(
+                'input g where C(p), p -> "x" -> v create P(v) output o',
+                graph)
+            artefacts = [weakref.ref(graph.derived(GraphIndex.build)),
+                         weakref.ref(graph.derived(GraphStatistics.gather))]
+            dropped = weakref.ref(graph)
+            del graph
+            assert dropped() is None
+            assert all(ref() is None for ref in artefacts)
+        finally:
+            if enabled:
+                gc.enable()

@@ -81,14 +81,28 @@ class TestFormHandler:
         assert one.page != two.page
         assert "Machine Instructions" in two.html
 
-    def test_caching(self, handler):
+    def test_caching(self, handler, fig2_graph):
         first = handler.submit(kw="Regular")
         second = handler.submit(kw="Regular")
         assert not first.from_cache and second.from_cache
         assert handler.stats["evaluations"] == 1
-        handler.invalidate()
+        fig2_graph.add_edge(Oid("pub1"), "note", Atom.string("x"))
         third = handler.submit(kw="Regular")
         assert not third.from_cache
+        assert handler.stats["evaluations"] == 2
+
+    def test_data_update_is_not_served_stale(self, handler, fig2_graph):
+        """Regression: responses stayed cached across data updates, so
+        a new matching publication was missing from a repeated search."""
+        assert not handler.submit(kw="Regular").from_cache
+        pub9 = Oid("pub9")
+        fig2_graph.add_to_collection("Publications", pub9)
+        fig2_graph.add_edge(pub9, "title",
+                            Atom.string("Regular Languages Revisited"))
+        again = handler.submit(kw="Regular")
+        assert not again.from_cache
+        assert "Regular Languages Revisited" in again.html
+        assert "Optimizing Regular Path Expressions" in again.html
 
     def test_no_matches_is_still_a_page_problem(self, handler):
         # No publication contains "zzz": the Results page is never

@@ -93,6 +93,22 @@ class TestDynamicSite:
         assert sum(1 for label, _ in fresh.edges
                    if label == "YearPage") == years_before + 1
 
+    def test_engine_indexing_switch_is_followed(self, fig2_graph,
+                                                fig4_site):
+        """Regression: click-time evaluation always built and used an
+        index, whatever the engine's ``indexing`` switch said."""
+        from repro import obs
+
+        site = DynamicSite(FIG3_QUERY, fig2_graph,
+                           engine=QueryEngine(indexing=False))
+        with obs.recording() as rec:
+            for node in fig4_site.nodes():
+                if node.skolem_fn is not None:
+                    site.get_page(node)
+        counters = rec.metrics.as_dict()["counters"]
+        assert counters.get("repository.index.builds", 0) == 0
+        assert counters.get("repository.index.hits", 0) == 0
+
     def test_unknown_page(self, dynamic):
         with pytest.raises(PageNotFoundError):
             dynamic.get_page(Oid("not-a-skolem-page"))
