@@ -5,26 +5,37 @@ site can be generated from the same data".  Regenerating a large site
 from scratch on every data edit throws that away, so this module makes
 ``Website.build_site`` / ``repro build`` *incremental*:
 
-* :class:`BuildCache` — a persistent cache directory holding a
-  manifest (per-page content fingerprints, the template-set hash, the
-  generator options) plus the previous build's site graph.  A page is
-  skipped when its fingerprint, the templates, the options **and** its
-  output file are all unchanged.
-* the **rebuild planner** (:meth:`BuildCache.plan`) — diffs the old
-  site graph against the new one (:func:`repro.site.diff.diff_graphs`)
-  and invalidates only the pages reachable from changed data-graph
-  nodes (:meth:`~repro.site.diff.SiteDiff.dirty_pages`'s conservative
-  reverse closure); clean pages skip without even being fingerprinted.
+* :class:`BuildCache` — a persistent cache directory holding one
+  manifest: per-page content fingerprints, a whole-site hash, the
+  template-set hash and the generator options.  A page is skipped when
+  its fingerprint, the templates, the options **and** its output file
+  are all unchanged.
+* the **rebuild planner** (:meth:`BuildCache.plan`) — hashes every
+  site node once, fingerprints every page in one linear pass
+  (:func:`node_fingerprints`) and compares the fingerprints with the
+  manifest.  When the whole-site hash matches the manifest, the stored
+  fingerprints are reused and the pass is skipped.  The plan carries
+  the fingerprints to :meth:`BuildCache.record`, so no page is hashed
+  twice in one build.
 * :func:`cached_generate` — the one-call pipeline used by both
   :meth:`repro.site.builder.Website.build_site` and ``repro build
   --cache-dir/--incremental``: plan, render only the dirty pages
   (optionally in parallel), delete removed pages' files, persist the
   updated manifest.
 
-Fingerprints are content hashes over a page's *forward-reachable*
-subgraph (its bindings: every node, edge, atom and collection
-membership its template can possibly traverse), so they are sound for
-the template language's forward-only attribute paths.  Template edits
+A fingerprint is a Merkle hash over the strongly-connected-component
+condensation of the site graph.  A node's *local* hash covers its
+identity, its out-edges (labels, targets, atom values) and its
+collection memberships.  A component's fingerprint hashes its members'
+local hashes and the fingerprints of the components it links to, and a
+page's fingerprint is that of its component.  So it is a function of
+exactly the page's *forward-reachable* subgraph: every node, edge, atom
+and collection membership its template can traverse, embed or select
+on.  That makes it sound for the template language's forward-only
+attribute paths, and a collection-membership change invalidates like
+an edge change.  Tarjan's algorithm emits components in reverse
+topological order, so the whole site costs one O(nodes + edges) pass
+however much the pages' reachable subgraphs overlap.  Template edits
 hash into ``templates_hash`` and invalidate everything — the safe
 interpretation of "the same templates are used in both sites".
 
@@ -42,18 +53,20 @@ import os
 from dataclasses import dataclass, field
 
 from repro.graph.model import Graph, Oid
-from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.obs.lineage import get_lineage, lineage_path
 from repro.obs.trace import get_recorder
-from repro.site.diff import diff_graphs
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
-#: Manifest schema version; bump on incompatible layout changes.
-CACHE_SCHEMA = 1
+#: Manifest schema version; bump on incompatible layout changes or
+#: when the fingerprint definition changes.
+CACHE_SCHEMA = 2
 
-#: File names inside a cache directory.
+#: File name of the manifest inside a cache directory.
 MANIFEST_NAME = "manifest.json"
-SITE_GRAPH_NAME = "site.json"
+
+#: Schema-1 caches also stored the previous build's site graph here;
+#: :meth:`BuildCache.record` deletes it.
+_SCHEMA1_SITE_GRAPH = "site.json"
 
 #: Default cache directory name when ``--incremental`` is given
 #: without ``--cache-dir`` (created inside the output directory).
@@ -61,11 +74,9 @@ DEFAULT_CACHE_DIRNAME = ".buildcache"
 
 
 def _sha(*parts: str) -> str:
-    digest = hashlib.sha1()
-    for part in parts:
-        digest.update(part.encode("utf-8", "surrogatepass"))
-        digest.update(b"\x00")
-    return digest.hexdigest()[:16]
+    data = "\x00".join(parts) + "\x00"
+    return hashlib.sha1(
+        data.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
 def hash_templates(templates: TemplateSet) -> str:
@@ -95,63 +106,98 @@ def _object_key(obj) -> str:
     return f"{type(obj).__name__}:{obj!r}"
 
 
-def _local_hash(graph: Graph, node: Oid) -> str:
-    """Hash of one node's own content: identity, out-edges, collections."""
-    edges = sorted((edge.label, _object_key(edge.target))
-                   for edge in graph.out_edges(node))
-    return _sha(_object_key(node),
-                *(f"{label}\x01{target}" for label, target in edges),
-                *sorted(graph.collections_of(node)))
+#: Per-node local hashes and node successors (see :func:`_node_hashes`).
+NodeHashes = tuple[dict[Oid, str], dict[Oid, list[Oid]]]
 
 
-def site_content_hash(graph: Graph,
-                      local_hashes: dict[Oid, str] | None = None) -> str:
-    """One hash over the whole site graph's content.
+def _node_hashes(graph: Graph) -> NodeHashes:
+    """Every node's local hash and node successors, one read per node.
 
-    A warm rebuild whose site hash matches the manifest skips every
-    page immediately — no old-graph deserialization, no diff, no
-    per-page fingerprints.  Combines every node's local hash (which
-    already covers out-edges and collection memberships).
+    The local hash covers one node's own content: its identity, its
+    out-edges and its collection memberships.
     """
-    if local_hashes is None:
-        local_hashes = {}
-    parts = []
+    memberships: dict[Oid, list[str]] = {}
+    for name in graph.collection_names():           # sorted names
+        for member in graph.collection(name):
+            memberships.setdefault(member, []).append(name)
+    local: dict[Oid, str] = {}
+    successors: dict[Oid, list[Oid]] = {}
     for node in graph.nodes():
-        cached = local_hashes.get(node)
-        if cached is None:
-            cached = local_hashes[node] = _local_hash(graph, node)
-        parts.append(cached)
-    return _sha(*sorted(parts))
+        out = graph.out_edges(node)
+        local[node] = _sha(_object_key(node),
+                           *sorted(f"{edge.label}\x01"
+                                   f"{_object_key(edge.target)}"
+                                   for edge in out),
+                           *memberships.get(node, ()))
+        successors[node] = [edge.target for edge in out
+                            if isinstance(edge.target, Oid)]
+    return local, successors
 
 
-def page_fingerprint(graph: Graph, page: Oid,
-                     local_hashes: dict[Oid, str] | None = None) -> str:
+def node_fingerprints(graph: Graph,
+                      hashes: NodeHashes | None = None) -> dict[Oid, str]:
+    """Every node's fingerprint, in one O(nodes + edges) pass.
+
+    An iterative Tarjan walk finds the strongly connected components
+    and finishes each one after every component it links to.  A
+    component's fingerprint hashes its members' sorted local hashes and
+    its successor components' sorted fingerprints; each member gets
+    the component's fingerprint.  ``hashes`` reuses a
+    :func:`_node_hashes` result already computed for this graph.
+    """
+    local, successors = hashes or _node_hashes(graph)
+    index: dict[Oid, int] = {}
+    low: dict[Oid, int] = {}
+    stack: list[Oid] = []
+    fingerprints: dict[Oid, str] = {}
+    for root in local:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                # Indexed but unfinished means on the stack.
+                if child not in fingerprints and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] != index[node]:
+                    continue
+                members = [stack.pop()]
+                while members[-1] != node:
+                    members.append(stack.pop())
+                # Successors outside the component are finished; those
+                # inside have no fingerprint yet.
+                linked = {fingerprints[target] for member in members
+                          for target in successors[member]
+                          if target in fingerprints}
+                fingerprint = _sha(*sorted(local[m] for m in members),
+                                   "->", *sorted(linked))
+                for member in members:
+                    fingerprints[member] = fingerprint
+    return fingerprints
+
+
+def page_fingerprint(graph: Graph, page: Oid) -> str:
     """Content fingerprint of everything ``page``'s HTML can depend on.
 
     The rendered page is a function of the forward-reachable subgraph
     (templates only traverse outgoing attribute paths, embed successors,
-    and select on collections), so the fingerprint combines the *local*
-    hashes — node identity, out-edges, atom values, collection
-    memberships — of every node reachable from the page.  ``local_hashes``
-    memoizes per-node work across the pages of one build.
+    and select on collections), and so is this fingerprint.  One page's
+    view of :func:`node_fingerprints`; a build fingerprints all its
+    pages in one pass instead.
     """
-    if local_hashes is None:
-        local_hashes = {}
-    reached: list[str] = []
-    frontier = [page]
-    seen = {page}
-    while frontier:
-        node = frontier.pop()
-        cached = local_hashes.get(node)
-        if cached is None:
-            cached = local_hashes[node] = _local_hash(graph, node)
-        reached.append(cached)
-        for edge in graph.out_edges(node):
-            target = edge.target
-            if isinstance(target, Oid) and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return _sha(*sorted(reached))
+    return node_fingerprints(graph)[page]
 
 
 @dataclass
@@ -160,15 +206,17 @@ class BuildPlan:
 
     #: Pages to render, in deterministic (sorted) order.
     render: list[Oid] = field(default_factory=list)
-    #: Pages skipped because cache + diff prove them unchanged.
+    #: Pages skipped because their fingerprints match the manifest.
     skipped: list[Oid] = field(default_factory=list)
     #: Output file names (relative to ``out_dir``) of removed pages.
     stale_files: list[str] = field(default_factory=list)
     #: Why the plan shaped up this way: ``cold``, ``templates-changed``,
     #: ``options-changed``, ``schema-changed`` or ``incremental``.
     reason: str = "cold"
-    #: Fingerprints already computed while planning (reused by record).
+    #: Every page's fingerprint, keyed by oid (persisted by record).
     fingerprints: dict[str, str] = field(default_factory=dict)
+    #: The whole-site hash (persisted by record).
+    site_hash: str = ""
     #: True when the site-hash fast path proved the cache state is
     #: already exact — recording would rewrite identical files.
     unchanged: bool = False
@@ -187,121 +235,108 @@ class BuildPlan:
 class BuildCache:
     """A persistent, content-hash-keyed site build cache.
 
-    One directory holds a JSON manifest — per-page fingerprints keyed
-    by oid, the template-set hash and the generator-options hash — and
-    the previous build's site graph for the diff-based rebuild planner.
-    Corrupt or mismatched state degrades to a cold build, never to a
-    wrong one.
+    One directory holds a JSON manifest: per-page fingerprints keyed by
+    oid, the whole-site hash, the template-set hash and the
+    generator-options hash.  Corrupt or mismatched state degrades to a
+    full build, never to a wrong one.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.manifest_path = os.path.join(directory, MANIFEST_NAME)
-        self.site_graph_path = os.path.join(directory, SITE_GRAPH_NAME)
         self.manifest: dict | None = None
-        self._old_site: Graph | None = None
+        #: True when the last :meth:`load` found a manifest of another
+        #: :data:`CACHE_SCHEMA`.
+        self.schema_changed = False
 
     # -- persistence -----------------------------------------------------------
 
     def load(self) -> bool:
-        """Read the manifest; ``False`` (cold) when absent or corrupt."""
+        """Read the manifest; ``False`` when absent, corrupt or stale.
+
+        A manifest that parses but carries another schema also sets
+        :attr:`schema_changed`.
+        """
+        self.manifest = None
+        self.schema_changed = False
         try:
             with open(self.manifest_path, encoding="utf-8") as handle:
                 manifest = json.load(handle)
         except (OSError, json.JSONDecodeError):
-            self.manifest = None
             return False
-        if not isinstance(manifest, dict) \
-                or manifest.get("schema") != CACHE_SCHEMA \
-                or not isinstance(manifest.get("pages"), dict):
-            self.manifest = None
+        if not isinstance(manifest, dict):
+            return False
+        if manifest.get("schema") != CACHE_SCHEMA:
+            self.schema_changed = True
+            return False
+        if not isinstance(manifest.get("pages"), dict):
             return False
         self.manifest = manifest
         return True
 
-    def old_site_graph(self) -> Graph | None:
-        """The previous build's site graph, if it deserializes."""
-        if self._old_site is None:
-            try:
-                with open(self.site_graph_path,
-                          encoding="utf-8") as handle:
-                    self._old_site = graph_from_json(handle.read())
-            except (OSError, ValueError, KeyError,
-                    json.JSONDecodeError):
-                return None
-        return self._old_site
-
     # -- planning --------------------------------------------------------------
+
+    def _reason(self, templates: TemplateSet,
+                options: dict | None) -> str:
+        """Whether the manifest can be trusted page by page, and if
+        not, why not."""
+        if self.manifest is None:
+            self.load()
+        manifest = self.manifest
+        if manifest is None:
+            return "schema-changed" if self.schema_changed else "cold"
+        if manifest.get("templates_hash") != hash_templates(templates):
+            return "templates-changed"
+        if manifest.get("options_hash") != hash_options(options):
+            return "options-changed"
+        return "incremental"
 
     def plan(self, site: Graph, generator: HtmlGenerator,
              templates: TemplateSet, out_dir: str,
              options: dict | None = None) -> BuildPlan:
         """Decide which pages must render and which can be skipped."""
-        pages = sorted(generator.pages(), key=str)
-        templates_hash = hash_templates(templates)
-        options_hash = hash_options(options)
-        plan = BuildPlan()
-        if self.manifest is None:
-            self.load()
-        manifest = self.manifest
-        if manifest is None:
-            plan.reason = "cold"
-        elif manifest.get("templates_hash") != templates_hash:
-            plan.reason = "templates-changed"
-        elif manifest.get("options_hash") != options_hash:
-            plan.reason = "options-changed"
-        else:
-            plan.reason = "incremental"
-        if plan.reason != "incremental":
-            plan.render = pages
-            return plan
-
-        assert manifest is not None
-        old_pages: dict[str, dict] = manifest["pages"]
-        local_hashes: dict[Oid, str] = {}
-        dirty: set[Oid] | None = None  # None = fingerprint everything
-        # Fast path: an identical site hash proves nothing changed
-        # without loading the old graph or diffing at all.
-        if manifest.get("site_hash") == site_content_hash(site,
-                                                          local_hashes):
-            dirty = set()
-            plan.unchanged = True
-        else:
-            old_site = self.old_site_graph()
-            if old_site is not None:
-                diff = diff_graphs(old_site, site)
-                if diff.empty:
-                    dirty = set()
-                elif not diff.collection_changes:
-                    dirty = diff.dirty_pages(site, generator)
-                # Collection-membership changes can affect template
-                # selection without any edge delta; fall back to
-                # fingerprinting every page (dirty = None) — still no
-                # re-render unless content truly changed.
-        current = {str(page) for page in pages}
-        for page in pages:
-            key = str(page)
-            entry = old_pages.get(key)
-            url = generator.url_for(page)
-            out_path = os.path.join(out_dir, url)
-            if entry is None or not os.path.exists(out_path):
-                plan.render.append(page)
-                continue
-            if dirty is not None and page not in dirty:
-                plan.skipped.append(page)
-                plan.fingerprints[key] = entry["fingerprint"]
-                continue
-            fp = page_fingerprint(site, page, local_hashes)
-            plan.fingerprints[key] = fp
-            if fp == entry["fingerprint"]:
-                plan.skipped.append(page)
+        with get_recorder().span("site.build.plan",
+                                 nodes=site.node_count) as span:
+            pages = sorted(generator.pages(), key=str)
+            plan = BuildPlan(reason=self._reason(templates, options))
+            recorded: dict[str, dict] = \
+                self.manifest["pages"] if self.manifest else {}
+            # Stored fingerprints hold only under the same templates
+            # and options; stored urls hold regardless.
+            old_pages = recorded if plan.reason == "incremental" else {}
+            hashes = _node_hashes(site)
+            # The whole-site hash: local hashes already cover every
+            # edge and collection membership.  When it matches the
+            # manifest, every stored fingerprint is still exact.
+            plan.site_hash = _sha(*sorted(hashes[0].values()))
+            same_site = (bool(old_pages)
+                         and self.manifest.get("site_hash")
+                         == plan.site_hash
+                         and all(str(page) in old_pages for page in pages))
+            if same_site:
+                plan.fingerprints = {
+                    str(page): old_pages[str(page)]["fingerprint"]
+                    for page in pages}
             else:
-                plan.render.append(page)
-        plan.stale_files = sorted(
-            entry["url"] for key, entry in old_pages.items()
-            if key not in current and entry.get("url"))
-        plan.unchanged = (plan.unchanged and not plan.render
-                          and not plan.stale_files)
+                by_node = node_fingerprints(site, hashes)
+                plan.fingerprints = {str(page): by_node[page]
+                                     for page in pages}
+            for page in pages:
+                entry = old_pages.get(str(page))
+                if entry is not None \
+                        and entry.get("fingerprint") \
+                        == plan.fingerprints[str(page)] \
+                        and os.path.exists(os.path.join(
+                            out_dir, generator.url_for(page))):
+                    plan.skipped.append(page)
+                else:
+                    plan.render.append(page)
+            plan.stale_files = sorted(
+                entry["url"] for key, entry in recorded.items()
+                if key not in plan.fingerprints and entry.get("url"))
+            plan.unchanged = (same_site and not plan.render
+                              and not plan.stale_files)
+            span.set(pages=len(pages), rendered=len(plan.render))
         return plan
 
     # -- recording -------------------------------------------------------------
@@ -309,30 +344,33 @@ class BuildCache:
     def record(self, site: Graph, generator: HtmlGenerator,
                templates: TemplateSet, plan: BuildPlan,
                options: dict | None = None) -> None:
-        """Persist the post-build state: manifest + site graph."""
-        os.makedirs(self.directory, exist_ok=True)
-        local_hashes: dict[Oid, str] = {}
-        entries: dict[str, dict] = {}
-        for page in plan.render + plan.skipped:
-            key = str(page)
-            fp = plan.fingerprints.get(key)
-            if fp is None:
-                fp = page_fingerprint(site, page, local_hashes)
-            entries[key] = {"url": generator.url_for(page),
-                            "fingerprint": fp}
-        manifest = {
-            "schema": CACHE_SCHEMA,
-            "templates_hash": hash_templates(templates),
-            "options_hash": hash_options(options),
-            "site_hash": site_content_hash(site, local_hashes),
-            "pages": entries,
-        }
-        with open(self.manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
-        with open(self.site_graph_path, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_json(site))
-        self.manifest = manifest
-        self._old_site = site
+        """Persist the post-build manifest from ``plan``'s
+        fingerprints (``plan`` must come from :meth:`plan`)."""
+        with get_recorder().span("site.build.record",
+                                 pages=plan.total_pages,
+                                 nodes=site.node_count,
+                                 rendered=len(plan.render)):
+            os.makedirs(self.directory, exist_ok=True)
+            manifest = {
+                "schema": CACHE_SCHEMA,
+                "templates_hash": hash_templates(templates),
+                "options_hash": hash_options(options),
+                "site_hash": plan.site_hash,
+                "pages": {str(page): {
+                    "url": generator.url_for(page),
+                    "fingerprint": plan.fingerprints[str(page)]}
+                    for page in plan.render + plan.skipped},
+            }
+            with open(self.manifest_path, "w",
+                      encoding="utf-8") as handle:
+                json.dump(manifest, handle, indent=1)
+            try:
+                os.unlink(os.path.join(self.directory,
+                                       _SCHEMA1_SITE_GRAPH))
+            except FileNotFoundError:
+                pass
+            self.manifest = manifest
+            self.schema_changed = False
 
 
 @dataclass

@@ -10,22 +10,26 @@ edit scripts over the data graph, with the incremental output tree
 compared file-for-file against a cold build after every step.
 """
 
+import json
 import os
 import random
 
 import pytest
 
-from repro.graph import Atom, Oid
+from repro.datagen.org import build_org_mediator
+from repro.graph import Atom, Graph, Oid
 from repro.site.buildcache import (
     BuildCache,
     cached_generate,
     hash_templates,
+    node_fingerprints,
     page_fingerprint,
     resolve_jobs,
 )
 from repro.site.builder import Website
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
-from repro.templates.generator import HtmlGenerator
+from repro.sites.org import ORG_QUERY, org_templates
+from repro.templates.generator import HtmlGenerator, TemplateSet
 
 
 def _site(data=None, templates=None):
@@ -41,6 +45,42 @@ def _read_tree(root):
             with open(path, encoding="utf-8") as handle:
                 tree[name] = handle.read()
     return tree
+
+
+def _random_graph(rng, size=30):
+    """A random graph with cycles, atoms and collection memberships."""
+    graph = Graph("random")
+    nodes = [Oid(f"n{i}") for i in range(size)]
+    for node in nodes:
+        graph.add_node(node)
+        if rng.random() < 0.3:
+            graph.add_to_collection(rng.choice("AB"), node)
+        graph.add_edge(node, "value", Atom.int(rng.randrange(5)))
+        for _ in range(rng.randrange(3)):
+            graph.add_edge(node, rng.choice("xyz"), rng.choice(nodes))
+    return graph
+
+
+def _reachable(graph, start):
+    seen, frontier = {start}, [start]
+    while frontier:
+        for edge in graph.out_edges(frontier.pop()):
+            if isinstance(edge.target, Oid) and edge.target not in seen:
+                seen.add(edge.target)
+                frontier.append(edge.target)
+    return seen
+
+
+def _restrict(graph, keep):
+    """A copy of ``graph`` holding only the nodes in ``keep``."""
+    copy = Graph("restricted")
+    for node in keep:
+        copy.add_node(node)
+        for edge in graph.out_edges(node):
+            copy.add_edge(node, edge.label, edge.target)
+        for name in graph.collections_of(node):
+            copy.add_to_collection(name, node)
+    return copy
 
 
 class TestFingerprints:
@@ -61,6 +101,32 @@ class TestFingerprints:
             page_fingerprint(b.site_graph, year97)
         assert page_fingerprint(a.site_graph, year98) == \
             page_fingerprint(b.site_graph, year98)
+
+    def test_page_fingerprint_agrees_with_batch_pass(self):
+        site = _site().site_graph
+        batch = node_fingerprints(site)
+        for page in HtmlGenerator(site, fig7_templates()).pages():
+            assert page_fingerprint(site, page) == batch[page]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fingerprint_is_a_function_of_the_reachable_subgraph(
+            self, seed):
+        """On random cyclic graphs, each node's batch fingerprint equals
+        the one computed over its forward-reachable subgraph alone, and
+        an edit changes exactly the fingerprints of nodes reaching it."""
+        rng = random.Random(seed)
+        graph = _random_graph(rng)
+        batch = node_fingerprints(graph)
+        for node in graph.nodes():
+            reach = _reachable(graph, node)
+            assert node_fingerprints(_restrict(graph, reach))[node] == \
+                batch[node]
+        edited_node = rng.choice(list(graph.nodes()))
+        graph.add_to_collection("Edited", edited_node)
+        after = node_fingerprints(graph)
+        for node in graph.nodes():
+            changed = after[node] != batch[node]
+            assert changed == (edited_node in _reachable(graph, node))
 
     def test_template_hash_covers_source_and_pageness(self):
         base = fig7_templates()
@@ -137,18 +203,88 @@ class TestBuildCache:
         _site().build_site(fresh)
         assert _read_tree(out) == _read_tree(fresh)
 
-    def test_collection_only_change_falls_back_soundly(self, tmp_path):
-        """Collection-membership deltas have no edge diff; the planner
-        must fingerprint rather than trust ``dirty_pages``."""
+    def test_removed_page_file_deleted_when_templates_change(self,
+                                                             tmp_path):
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
-        site = _site()
-        site.build_site(out, cache_dir=cache)
-        # Tag an existing site-graph node into a new collection in the
-        # cached old graph via a direct manifest replay: simulate by
-        # rebuilding with identical data — the diff is empty and the
-        # planner must still render nothing.
+        grown = fig2_data()
+        pub3 = Oid("pub3")
+        grown.add_to_collection("Publications", pub3)
+        grown.add_edge(pub3, "year", Atom.int(1999))
+        _site(grown).build_site(out, cache_dir=cache)
+        edited = fig7_templates()
+        edited.add("RootPage", "<h1>v2</h1>", as_page=True)
+        report = _site(templates=edited).build_site(out, cache_dir=cache)
+        assert report.reason == "templates-changed"
+        assert not os.path.exists(os.path.join(out, "YearPage_1999_.html"))
+        fresh = str(tmp_path / "fresh")
+        _site(templates=edited).build_site(fresh)
+        assert _read_tree(out) == _read_tree(fresh)
+
+    def test_collection_membership_change_switches_template(self,
+                                                             tmp_path):
+        """A data edit that flips a page's ``COLLECT`` membership but
+        leaves its site edges alone still switches its template (which
+        is selected via ``collections_of``), so the page re-renders."""
+        query = """
+INPUT DATA
+CREATE Index()
+WHERE People(p), p->"name"->n
+CREATE Page(p)
+LINK Page(p)->"name"->n, Index()->"Person"->Page(p)
+COLLECT Person(Page(p))
+{ WHERE p->"featured"->f
+  COLLECT Featured(Page(p)) }
+OUTPUT Site
+"""
+        templates = TemplateSet()
+        templates.add("Index", "<SFMTLIST @Person WRAP=UL>")
+        templates.add("Person", "<h1>Person <SFMT @name></h1>")
+        templates.add("Featured", "<h1>Featured <SFMT @name></h1>")
+        data = Graph("DATA")
+        for login in ("ann", "bob"):
+            data.add_to_collection("People", Oid(login))
+            data.add_edge(Oid(login), "name", Atom.string(login.title()))
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        Website(data, query, templates).build_site(out, cache_dir=cache)
+        bob = Oid.skolem("Page", (Oid("bob"),))
+        edges_before = Website(data, query, templates) \
+            .site_graph.out_edges(bob)
+        data.add_edge(Oid("bob"), "featured", Atom.string("yes"))
+        site = Website(data, query, templates)
+        assert site.site_graph.out_edges(bob) == edges_before
+        report = site.build_site(out, cache_dir=cache)
+        assert report.reason == "incremental"
+        assert bob in report.written
+        assert Oid.skolem("Page", (Oid("ann"),)) in report.skipped
+        fresh = str(tmp_path / "fresh")
+        Website(data, query, templates).build_site(fresh)
+        assert _read_tree(out) == _read_tree(fresh)
+        assert "Featured Bob" in _read_tree(out)[
+            site.generator().url_for(bob)]
+
+    def test_old_schema_cache_rebuilds_and_drops_site_graph(self,
+                                                          tmp_path):
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        _site().build_site(out, cache_dir=cache)
+        manifest_path = os.path.join(cache, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        # A schema-1 cache: same layout, plus the stored site graph.
+        manifest["schema"] = 1
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with open(os.path.join(cache, "site.json"), "w",
+                  encoding="utf-8") as handle:
+            handle.write('{"name": "HomePage", "nodes": []}')
         report = _site().build_site(out, cache_dir=cache)
-        assert report.pages_rendered == 0
+        assert report.reason == "schema-changed"
+        assert report.pages_skipped == 0
+        assert not os.path.exists(os.path.join(cache, "site.json"))
+        with open(manifest_path, encoding="utf-8") as handle:
+            assert json.load(handle)["schema"] == 2
+        again = _site().build_site(out, cache_dir=cache)
+        assert again.reason == "incremental"
+        assert again.pages_rendered == 0
 
     def test_corrupt_manifest_degrades_to_cold(self, tmp_path):
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
@@ -196,20 +332,42 @@ class TestParallelBuild:
 
 
 class TestRandomEditScripts:
-    """Property-based differential check: for ANY additive edit
-    script, the incremental rebuild's output directory is
-    file-identical to a cold build of the same data.  Randomness is
-    stdlib ``random`` with pinned seeds, so failures replay exactly.
+    """Property-based differential check: for ANY edit script (adding
+    and removing edges, nodes and collection memberships), the
+    incremental rebuild's output directory is file-identical to a cold
+    build of the same data.  Randomness is stdlib ``random`` with
+    pinned seeds, so failures replay exactly.
     """
 
     STEPS = 10
     YEARS = list(range(1995, 2003))
     CATEGORIES = ["Semistructured Data", "Compilers", "Networking"]
     LABELS = ["note", "keyword", "doi"]
+    KINDS = ["attribute", "year", "category", "new_pub", "replace",
+             "detach_pub", "leave_collection"]
+    REMOVALS = ("replace", "detach_pub", "leave_collection")
 
-    def _apply_random_edit(self, rng, data, step):
+    @staticmethod
+    def _rewrite(data, pub, label=None, value=None, drop=None):
+        """Detach ``pub`` and re-add its edges and collections, with
+        the first ``label`` edge's target replaced by ``value`` and the
+        collection ``drop`` left out (as an edited source reload
+        does)."""
+        edges = [(edge.label, edge.target) for edge in data.out_edges(pub)]
+        collections = data.collections_of(pub)
+        data.detach_node(pub)
+        for edge_label, target in edges:
+            if edge_label == label:
+                target, label = value, None
+            data.add_edge(pub, edge_label, target)
+        for name in collections:
+            if name != drop:
+                data.add_to_collection(name, pub)
+
+    def _apply_edit(self, rng, data, step, kind):
         pubs = list(data.collection("Publications"))
-        kind = rng.choice(["attribute", "year", "category", "new_pub"])
+        if kind in ("detach_pub", "leave_collection") and len(pubs) < 3:
+            kind = "new_pub"    # keep the site from emptying out
         if kind == "attribute":
             data.add_edge(rng.choice(pubs), rng.choice(self.LABELS),
                           Atom.string(f"v{rng.randrange(10_000)}"))
@@ -219,6 +377,15 @@ class TestRandomEditScripts:
         elif kind == "category":
             data.add_edge(rng.choice(pubs), "category",
                           Atom.string(rng.choice(self.CATEGORIES)))
+        elif kind == "replace":
+            pub = rng.choice(pubs)
+            label = rng.choice(data.labels_of(pub))
+            self._rewrite(data, pub, label,
+                          Atom.string(f"r{rng.randrange(10_000)}"))
+        elif kind == "detach_pub":
+            data.detach_node(rng.choice(pubs))
+        elif kind == "leave_collection":
+            self._rewrite(data, rng.choice(pubs), drop="Publications")
         else:
             pub = Oid(f"edit-pub{step}")
             data.add_to_collection("Publications", pub)
@@ -226,6 +393,24 @@ class TestRandomEditScripts:
             data.add_edge(pub, "year", Atom.int(rng.choice(self.YEARS)))
             data.add_edge(pub, "category",
                           Atom.string(rng.choice(self.CATEGORIES)))
+
+    def _apply_random_edit(self, rng, data, step):
+        self._apply_edit(rng, data, step, rng.choice(self.KINDS))
+
+    @pytest.mark.parametrize("kind", REMOVALS)
+    def test_each_removal_edit_kind(self, tmp_path, kind):
+        rng = random.Random(kind)
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        data = fig2_data()
+        _site(data).build_site(out, cache_dir=cache)
+        for step in range(2):
+            self._apply_edit(rng, data, step, kind)
+            report = _site(data).build_site(out, cache_dir=cache)
+            assert report.reason == "incremental"
+            fresh = str(tmp_path / f"fresh{step}")
+            _site(data).build_site(fresh)
+            assert _read_tree(out) == _read_tree(fresh), \
+                f"{kind} step={step}: trees diverged"
 
     @pytest.mark.parametrize("seed", [0xBEEF, 0xCAFE])
     def test_incremental_equals_cold_after_every_edit(self, tmp_path,
@@ -262,6 +447,54 @@ class TestRandomEditScripts:
             fresh = str(tmp_path / f"fresh{step}")
             _site(data).build_site(fresh)
             assert _read_tree(out) == _read_tree(fresh)
+
+
+class TestPlanningCost:
+    """Planning and recording read each site node's out-edges a
+    bounded number of times, however much the pages' reachable
+    subgraphs overlap (on the org site almost every page reaches
+    almost the whole graph)."""
+
+    def test_out_edges_reads_are_linear_in_site_nodes(self, tmp_path,
+                                                      monkeypatch):
+        data = build_org_mediator(60, 3, 8).warehouse()
+        data.name = "ORGDATA"
+        templates = org_templates()
+        calls = {"reads": 0, "depth": 0}
+        out_edges = Graph.out_edges
+
+        def counted_out_edges(self, source):
+            if calls["depth"]:
+                calls["reads"] += 1
+            return out_edges(self, source)
+
+        def counted(method):
+            def wrapper(*args, **kwargs):
+                calls["depth"] += 1
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    calls["depth"] -= 1
+            return wrapper
+
+        monkeypatch.setattr(Graph, "out_edges", counted_out_edges)
+        monkeypatch.setattr(BuildCache, "plan", counted(BuildCache.plan))
+        monkeypatch.setattr(BuildCache, "record",
+                            counted(BuildCache.record))
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        site = Website(data, ORG_QUERY, templates)
+        site.build_site(out, cache_dir=cache)
+        nodes = site.site_graph.node_count
+        assert calls["reads"] <= 2 * nodes, (calls["reads"], nodes)
+        person = sorted(data.collection("Persons"), key=str)[0]
+        data.add_edge(person, "phone", Atom.string("973-555-0000"))
+        calls["reads"] = 0
+        site = Website(data, ORG_QUERY, templates)
+        report = site.build_site(out, cache_dir=cache)
+        assert report.reason == "incremental"
+        assert report.pages_rendered > 0
+        nodes = site.site_graph.node_count
+        assert calls["reads"] <= 2 * nodes, (calls["reads"], nodes)
 
 
 class TestCachedGenerateFacade:
